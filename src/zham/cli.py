@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: zmap, unzmap, ham, bipham, match, pm2, conditions, pullback,
-pushforward, verify.  Machine output is JSON with sorted keys; exit codes
-carry the pass/fail semantics:
+Subcommands: zmap, unzmap, ham, bipham, gham, match, pm2, conditions,
+pullback, pushforward, verify.  Machine output is JSON with sorted keys;
+exit codes carry the pass/fail semantics:
 
     0  decided (regardless of the boolean outcome)
     2  parse error or bad flags
@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .conditions import (
@@ -37,7 +38,7 @@ from .conditions import (
     woodall_plus2,
     zhu_digraph,
 )
-from .core import BipartiteGraph, Digraph, Graph, GraphError, format_bipartite_vertex
+from .core import BipartiteGraph, Digraph, Graph, GraphError, pairs_json, witness_json
 from .fileio import ParseError, parse_graph_file, serialize_graph, to_dot
 from .solvers import (
     find_hamiltonian_cycle,
@@ -49,6 +50,7 @@ from .solvers import (
 from .verifier import (
     CLAIMS,
     StoreError,
+    align_columns,
     build_report,
     established_failures,
     is_spanning_cycle_factor,
@@ -73,19 +75,6 @@ def _fail(message, code):
 
 def _emit_json(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _sequence_json(witness):
-    if witness is None:
-        return None
-    return [
-        format_bipartite_vertex(v) if isinstance(v, tuple) else v
-        for v in witness.sequence
-    ]
-
-
-def _pairs_json(pairs):
-    return [list(p) for p in sorted(pairs)]
 
 
 def _resolve_budget(flag_value):
@@ -135,7 +124,7 @@ def _cmd_unzmap(args):
 def _solver_payload(result, extra=None):
     payload = {
         "found": result.found,
-        "cycle": _sequence_json(result.witness),
+        "cycle": witness_json(result.witness),
         "nodes_explored": result.nodes_explored,
         "exhausted": result.exhausted,
     }
@@ -144,24 +133,13 @@ def _solver_payload(result, extra=None):
     return payload
 
 
-def _cmd_ham(args):
-    d = _load(args.input, Digraph, "digraph (D header)")
-    result = find_hamiltonian_cycle(d, _resolve_budget(args.budget))
-    _emit_json(_solver_payload(result))
-    return EXIT_BUDGET if result.exhausted else EXIT_OK
-
-
-def _cmd_bipham(args):
-    g = _load(args.input, BipartiteGraph, "bipartite (B header)")
-    result = find_hamiltonian_cycle_bipartite(g, _resolve_budget(args.budget))
-    _emit_json(_solver_payload(result))
-    return EXIT_BUDGET if result.exhausted else EXIT_OK
-
-
-def _cmd_gham(args):
-    g = _load(args.input, Graph, "undirected (G header)")
-    result = find_hamiltonian_cycle_undirected(g, _resolve_budget(args.budget))
-    _emit_json(_solver_payload(result))
+def _cmd_cycle(kind, label, solver, args, extend=None):
+    """Load one ``kind`` of graph and search it with ``solver``; a found
+    cycle's payload gains the fields ``extend(graph, witness)`` returns."""
+    obj = _load(args.input, kind, label)
+    result = solver(obj, _resolve_budget(args.budget))
+    extra = extend(obj, result.witness) if extend is not None and result.found else None
+    _emit_json(_solver_payload(result, extra))
     return EXIT_BUDGET if result.exhausted else EXIT_OK
 
 
@@ -171,7 +149,7 @@ def _cmd_match(args):
     _emit_json(
         {
             "size": len(matching),
-            "pairs": _pairs_json(matching.pairs),
+            "pairs": pairs_json(matching.pairs),
             "perfect": matching.is_perfect(g),
         }
     )
@@ -184,8 +162,8 @@ def _cmd_pm2(args):
     _emit_json(
         {
             "found": result.found,
-            "first": _pairs_json(result.first.pairs) if result.first else None,
-            "second": _pairs_json(result.second.pairs) if result.second else None,
+            "first": witness_json(result.first),
+            "second": witness_json(result.second),
             "nodes_explored": result.nodes_explored,
             "exhausted": result.exhausted,
         }
@@ -217,29 +195,20 @@ def _conditions_for(obj, condition_id, k):
     else:
         table, has_mmk = _GRAPH_CONDITIONS, False
 
-    reports = []
-    if condition_id is None:
-        reports += [fn(obj) for fn in table.values()]
-        if has_mmk:
-            if k is not None:
-                reports.append(moon_moser_k(obj, k))
-            else:
-                reports += [moon_moser_k(obj, kk) for kk in range(2, obj.n)]
-    elif condition_id == "moon-moser-k":
-        if not has_mmk:
-            raise GraphError("moon-moser-k applies to bipartite input only")
-        if k is not None:
-            reports.append(moon_moser_k(obj, k))
-        else:
-            reports += [moon_moser_k(obj, kk) for kk in range(2, obj.n)]
-            if not reports:
-                raise GraphError(f"no admissible k for part size {obj.n} (need 1 < k < n)")
-    elif condition_id in table:
-        reports.append(table[condition_id](obj))
-    else:
+    if condition_id in table:
+        return [table[condition_id](obj)]
+    if condition_id not in (None, "moon-moser-k"):
         raise GraphError(
             f"condition {condition_id!r} does not apply to this input kind"
         )
+    if condition_id is not None and not has_mmk:
+        raise GraphError("moon-moser-k applies to bipartite input only")
+    reports = [fn(obj) for fn in table.values()] if condition_id is None else []
+    if has_mmk:
+        ks = range(2, obj.n) if k is None else (k,)
+        reports += [moon_moser_k(obj, kk) for kk in ks]
+        if condition_id is not None and not reports:
+            raise GraphError(f"no admissible k for part size {obj.n} (need 1 < k < n)")
     return reports
 
 
@@ -254,50 +223,26 @@ def _cmd_conditions(args):
             rows.append(
                 (r.condition_id, str(r.hypothesis_holds), str(len(r.violating_items)), r.note)
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(4)]
-        for row in rows:
-            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+        sys.stdout.write(align_columns(rows))
     return EXIT_OK
 
 
-def _cmd_pullback(args):
-    g = _load(args.input, BipartiteGraph, "bipartite (B header)")
-    result = find_hamiltonian_cycle_bipartite(g, _resolve_budget(args.budget))
-    if result.exhausted or not result.found:
-        _emit_json(_solver_payload(result))
-        return EXIT_BUDGET if result.exhausted else EXIT_OK
-    first, second = ham_cycle_pullback(g, result.witness)
-    _emit_json(
-        _solver_payload(
-            result,
-            {
-                "first_half": _pairs_json(first),
-                "second_half": _pairs_json(second),
-                "first_half_is_cycle_factor": is_spanning_cycle_factor(g.n, first),
-                "second_half_is_cycle_factor": is_spanning_cycle_factor(g.n, second),
-            },
-        )
-    )
-    return EXIT_OK
+def _pullback_halves(g, witness):
+    first, second = ham_cycle_pullback(g, witness)
+    return {
+        "first_half": pairs_json(first),
+        "second_half": pairs_json(second),
+        "first_half_is_cycle_factor": is_spanning_cycle_factor(g.n, first),
+        "second_half_is_cycle_factor": is_spanning_cycle_factor(g.n, second),
+    }
 
 
-def _cmd_pushforward(args):
-    d = _load(args.input, Digraph, "digraph (D header)")
-    result = find_hamiltonian_cycle(d, _resolve_budget(args.budget))
-    if result.exhausted or not result.found:
-        _emit_json(_solver_payload(result))
-        return EXIT_BUDGET if result.exhausted else EXIT_OK
-    matching = matching_pushforward(d, result.witness)
-    _emit_json(
-        _solver_payload(
-            result,
-            {
-                "matching": _pairs_json(matching.pairs),
-                "perfect": matching.is_perfect(zmap(d)),
-            },
-        )
-    )
-    return EXIT_OK
+def _pushforward_matching(d, witness):
+    matching = matching_pushforward(d, witness)
+    return {
+        "matching": pairs_json(matching.pairs),
+        "perfect": matching.is_perfect(zmap(d)),
+    }
 
 
 def _cmd_verify(args):
@@ -372,17 +317,15 @@ def build_parser():
     _add_io(p, output=True, dot=True)
     p.set_defaults(func=_cmd_unzmap)
 
-    p = sub.add_parser("ham", help="directed Hamiltonian cycle search")
-    _add_io(p, budget=True)
-    p.set_defaults(func=_cmd_ham)
-
-    p = sub.add_parser("bipham", help="bipartite Hamiltonian cycle search")
-    _add_io(p, budget=True)
-    p.set_defaults(func=_cmd_bipham)
-
-    p = sub.add_parser("gham", help="undirected Hamiltonian cycle search")
-    _add_io(p, budget=True)
-    p.set_defaults(func=_cmd_gham)
+    for name, what, kind, label, solver in (
+        ("ham", "directed", Digraph, "digraph (D header)", find_hamiltonian_cycle),
+        ("bipham", "bipartite", BipartiteGraph, "bipartite (B header)",
+         find_hamiltonian_cycle_bipartite),
+        ("gham", "undirected", Graph, "undirected (G header)", find_hamiltonian_cycle_undirected),
+    ):
+        p = sub.add_parser(name, help=f"{what} Hamiltonian cycle search")
+        _add_io(p, budget=True)
+        p.set_defaults(func=partial(_cmd_cycle, kind, label, solver))
 
     p = sub.add_parser("match", help="maximum bipartite matching")
     _add_io(p)
@@ -408,13 +351,23 @@ def build_parser():
         "pullback", help="solve bipartite Hamiltonian cycle, split into arc-set halves"
     )
     _add_io(p, budget=True)
-    p.set_defaults(func=_cmd_pullback)
+    p.set_defaults(
+        func=partial(
+            _cmd_cycle, BipartiteGraph, "bipartite (B header)", find_hamiltonian_cycle_bipartite,
+            extend=_pullback_halves,
+        )
+    )
 
     p = sub.add_parser(
         "pushforward", help="solve digraph Hamiltonian cycle, map to a perfect matching"
     )
     _add_io(p, budget=True)
-    p.set_defaults(func=_cmd_pushforward)
+    p.set_defaults(
+        func=partial(
+            _cmd_cycle, Digraph, "digraph (D header)", find_hamiltonian_cycle,
+            extend=_pushforward_matching,
+        )
+    )
 
     p = sub.add_parser("verify", help="sweep claims over enumerated instances")
     p.add_argument("--claims", default="all", help="comma-separated claim ids or 'all'")

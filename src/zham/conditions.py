@@ -179,14 +179,7 @@ def las_vergnas(g: BipartiteGraph) -> ConditionReport:
     """
     if g.n < 2:
         return _too_small("las-vergnas", g.n, 2)
-    bad = []
-    for i in range(1, g.n + 1):
-        di = g.degree_x(i)
-        for j in range(1, g.n + 1):
-            if not g.has_edge(i, j) and di + g.degree_y(j) < g.n + 2:
-                bad.append(
-                    {"pair": [f"x{i}", f"y{j}"], "degree_sum": di + g.degree_y(j)}
-                )
+    bad = _cross_pair_deficits(g, g.n + 2)
     return _report("las-vergnas", bad, {"n": g.n})
 
 
@@ -239,12 +232,17 @@ def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
         raise GraphError(f"threshold must be n or n+2, got {threshold!r} with n={g.n}")
     if g.n < 2:
         return _too_small(condition_id, g.n, 2)
-    bad = []
+    bad = _cross_pair_deficits(g, threshold)
+    return _report(condition_id, bad, {"n": g.n, "threshold": threshold}, note)
+
+
+def _cross_pair_deficits(g, threshold):
+    out = []
     for i in range(1, g.n + 1):
         di = g.degree_x(i)
         for j in range(1, g.n + 1):
             if not g.has_edge(i, j) and di + g.degree_y(j) < threshold:
-                bad.append(
+                out.append(
                     {"pair": [f"x{i}", f"y{j}"], "degree_sum": di + g.degree_y(j)}
                 )
-    return _report(condition_id, bad, {"n": g.n, "threshold": threshold}, note)
+    return out

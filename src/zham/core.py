@@ -1,5 +1,6 @@
 """Graph value types: digraphs, balanced bipartite graphs, plain undirected
-graphs, plus cycle witnesses and matchings with certificate checking.
+graphs, plus cycle witnesses and matchings with certificate checking and
+their one JSON encoding.
 
 All types are immutable after construction and validate their invariants in
 ``__post_init__``; instances are safe to share between threads.  Vertices are
@@ -358,3 +359,24 @@ class Matching:
 
     def __repr__(self):
         return f"Matching({sorted(self.pairs)})"
+
+
+def pairs_json(pairs):
+    """JSON form of a set of pairs (matching pairs, arc halves): sorted lists."""
+    return [list(p) for p in sorted(pairs)]
+
+
+def witness_json(witness):
+    """JSON form of a solver witness; ``None`` (nothing found) stays ``None``.
+
+    A cycle becomes its vertex sequence, bipartite vertices labelled like
+    "x3"; a matching becomes its sorted pair list.
+    """
+    if witness is None:
+        return None
+    if isinstance(witness, Matching):
+        return pairs_json(witness.pairs)
+    return [
+        format_bipartite_vertex(v) if isinstance(v, tuple) else v
+        for v in witness.sequence
+    ]

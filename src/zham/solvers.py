@@ -138,30 +138,29 @@ def _first(iterator):
     return None
 
 
-def find_hamiltonian_cycle(d: Digraph, budget=None) -> SolveResult:
-    """Exact backtracking search for a directed spanning cycle.
+def _digraph_viable(d: Digraph, k=1) -> bool:
+    """n > 1, every in- and out-degree at least ``k``, and strongly connected.
 
-    Prunes upfront on zero in/out degree and on strong connectivity (both
-    necessary); the witness starts at vertex 1 and takes the smallest
-    successor at every branch.  A single vertex is never Hamiltonian (no
-    loops); a digon counts as a valid 2-cycle.
+    Necessary for a Hamiltonian cycle (k = 1) and for two arc-disjoint ones
+    (k = 2).  Strong connectivity, the costly test, runs last.
     """
-    b = _Budget(budget)
-    if d.n == 1:
-        return SolveResult(False, None, 0)
-    if any(d.out_degree(v) == 0 or d.in_degree(v) == 0 for v in d.vertices()):
-        return SolveResult(False, None, 0)
-    if not strongly_connected(d):
-        return SolveResult(False, None, 0)
-    try:
-        seq = _first(_search_cycle(d.n, 1, d.successors, b))
-    except BudgetExhausted:
-        return SolveResult(False, None, b.spent, exhausted=True)
-    if seq is None:
-        return SolveResult(False, None, b.spent)
-    witness = CycleWitness(DIGRAPH_CYCLE, seq)
-    assert check_cycle(d, witness) and strongly_connected(d)
-    return SolveResult(True, witness, b.spent)
+    return (
+        d.n > 1
+        and all(d.out_degree(v) >= k and d.in_degree(v) >= k for v in d.vertices())
+        and strongly_connected(d)
+    )
+
+
+def _bipartite_viable(g: BipartiteGraph) -> bool:
+    """Part size >= 2 and every vertex of degree >= 2: necessary for a
+    Hamiltonian cycle and for two edge-disjoint perfect matchings."""
+    return g.n >= 2 and all(
+        g.degree_x(i) >= 2 and g.degree_y(i) >= 2 for i in range(1, g.n + 1)
+    )
+
+
+def _graph_viable(g: Graph) -> bool:
+    return g.n >= 3 and all(g.degree(v) >= 2 for v in g.vertices())
 
 
 def _bipartite_ids(g: BipartiteGraph):
@@ -175,9 +174,47 @@ def _bipartite_ids(g: BipartiteGraph):
     return adj
 
 
-def _bipartite_witness(n, seq):
-    tagged = tuple(("x", v) if v <= n else ("y", v - n) for v in seq)
-    return CycleWitness(GRAPH_CYCLE, tagged)
+def _find_cycle(host, viable, budget) -> SolveResult:
+    """Prune, search and certify: the body of every ``find_hamiltonian_cycle*``.
+
+    ``viable`` is the host kind's necessary-condition prune; a certified
+    cycle must pass it again.  A bipartite host is searched on the merged
+    ids of ``_bipartite_ids`` (parts alternate by construction) and its
+    witness is tagged back to ("x", i) / ("y", j) vertices.
+    """
+    b = _Budget(budget)
+    if not viable(host):
+        return SolveResult(False, None, 0)
+    n = host.n
+    bipartite = isinstance(host, BipartiteGraph)
+    if bipartite:
+        size, neighbors, kind = 2 * n, _bipartite_ids(host).__getitem__, GRAPH_CYCLE
+    elif isinstance(host, Digraph):
+        size, neighbors, kind = n, host.successors, DIGRAPH_CYCLE
+    else:
+        size, neighbors, kind = n, host.neighbors, GRAPH_CYCLE
+    try:
+        seq = _first(_search_cycle(size, 1, neighbors, b))
+    except BudgetExhausted:
+        return SolveResult(False, None, b.spent, exhausted=True)
+    if seq is None:
+        return SolveResult(False, None, b.spent)
+    if bipartite:
+        seq = tuple(("x", v) if v <= n else ("y", v - n) for v in seq)
+    witness = CycleWitness(kind, seq)
+    assert check_cycle(host, witness) and viable(host)
+    return SolveResult(True, witness, b.spent)
+
+
+def find_hamiltonian_cycle(d: Digraph, budget=None) -> SolveResult:
+    """Exact backtracking search for a directed spanning cycle.
+
+    Prunes upfront on zero in/out degree and on strong connectivity (both
+    necessary); the witness starts at vertex 1 and takes the smallest
+    successor at every branch.  A single vertex is never Hamiltonian (no
+    loops); a digon counts as a valid 2-cycle.
+    """
+    return _find_cycle(d, _digraph_viable, budget)
 
 
 def find_hamiltonian_cycle_bipartite(g: BipartiteGraph, budget=None) -> SolveResult:
@@ -187,39 +224,12 @@ def find_hamiltonian_cycle_bipartite(g: BipartiteGraph, budget=None) -> SolveRes
     first (y-part indices count from n+1 internally, so parts alternate by
     construction).
     """
-    b = _Budget(budget)
-    if g.n < 2:
-        return SolveResult(False, None, 0)
-    if any(g.degree_x(i) < 2 or g.degree_y(i) < 2 for i in range(1, g.n + 1)):
-        return SolveResult(False, None, 0)
-    adj = _bipartite_ids(g)
-    try:
-        seq = _first(_search_cycle(2 * g.n, 1, adj.__getitem__, b))
-    except BudgetExhausted:
-        return SolveResult(False, None, b.spent, exhausted=True)
-    if seq is None:
-        return SolveResult(False, None, b.spent)
-    witness = _bipartite_witness(g.n, seq)
-    assert check_cycle(g, witness)
-    return SolveResult(True, witness, b.spent)
+    return _find_cycle(g, _bipartite_viable, budget)
 
 
 def find_hamiltonian_cycle_undirected(g: Graph, budget=None) -> SolveResult:
     """Spanning cycle in a plain undirected graph (needs n >= 3)."""
-    b = _Budget(budget)
-    if g.n < 3:
-        return SolveResult(False, None, 0)
-    if any(g.degree(v) < 2 for v in g.vertices()):
-        return SolveResult(False, None, 0)
-    try:
-        seq = _first(_search_cycle(g.n, 1, g.neighbors, b))
-    except BudgetExhausted:
-        return SolveResult(False, None, b.spent, exhausted=True)
-    if seq is None:
-        return SolveResult(False, None, b.spent)
-    witness = CycleWitness(GRAPH_CYCLE, seq)
-    assert check_cycle(g, witness)
-    return SolveResult(True, witness, b.spent)
+    return _find_cycle(g, _graph_viable, budget)
 
 
 def max_matching(g: BipartiteGraph) -> Matching:
@@ -314,11 +324,7 @@ def enumerate_perfect_matchings(g: BipartiteGraph, budget=None):
 def enumerate_hamiltonian_cycles(d: Digraph, budget=None):
     """Deterministic stream of every Hamiltonian cycle of ``d``, anchored at 1."""
     b = _Budget(budget)
-    if d.n == 1:
-        return
-    if any(d.out_degree(v) == 0 or d.in_degree(v) == 0 for v in d.vertices()):
-        return
-    if not strongly_connected(d):
+    if not _digraph_viable(d):
         return
     for seq in _search_cycle(d.n, 1, d.successors, b):
         yield CycleWitness(DIGRAPH_CYCLE, seq)
@@ -331,9 +337,7 @@ def find_two_disjoint_hamiltonian_cycles(d: Digraph, budget=None) -> DisjointPai
     its arcs and re-solves on the rest.  Both witnesses share one budget.
     """
     b = _Budget(budget)
-    if d.n == 1 or any(d.out_degree(v) < 2 or d.in_degree(v) < 2 for v in d.vertices()):
-        return DisjointPair(False, None, None, 0)
-    if not strongly_connected(d):
+    if not _digraph_viable(d, 2):
         return DisjointPair(False, None, None, 0)
     try:
         for first in _search_cycle(d.n, 1, d.successors, b):
@@ -341,9 +345,7 @@ def find_two_disjoint_hamiltonian_cycles(d: Digraph, budget=None) -> DisjointPai
                 (first[i], first[(i + 1) % d.n]) for i in range(d.n)
             )
             rest = Digraph(d.n, d.arcs - cycle_arcs)
-            if any(rest.out_degree(v) == 0 or rest.in_degree(v) == 0 for v in rest.vertices()):
-                continue
-            if not strongly_connected(rest):
+            if not _digraph_viable(rest):
                 continue
             second = _first(_search_cycle(rest.n, 1, rest.successors, b))
             if second is not None:
@@ -363,7 +365,7 @@ def find_two_disjoint_perfect_matchings(g: BipartiteGraph, budget=None) -> Disjo
     its edges and asks the matching solver for a second one.
     """
     b = _Budget(budget)
-    if any(g.degree_x(i) < 2 or g.degree_y(i) < 2 for i in range(1, g.n + 1)):
+    if not _bipartite_viable(g):
         return DisjointPair(False, None, None, 0)
     try:
         for pairs in _iter_perfect_matchings(g, b):

@@ -32,7 +32,15 @@ from .conditions import (
     woodall_plus2,
     zhu_digraph,
 )
-from .core import BipartiteGraph, Digraph, Graph, GraphError, format_bipartite_vertex
+from .core import (
+    BipartiteGraph,
+    Digraph,
+    Graph,
+    GraphError,
+    format_bipartite_vertex,
+    pairs_json,
+    witness_json,
+)
 from .fileio import parse_graph_text, serialize_graph
 from .solvers import (
     DEFAULT_NODE_BUDGET,
@@ -107,36 +115,41 @@ def _check_enum_bounds(n, max_n, what):
         raise GraphError(f"{what} enumeration capped at n={max_n}, got n={n}")
 
 
-def enumerate_digraphs(n, max_n=MAX_DIGRAPH_N):
-    """All 2^(n(n-1)) labeled loopless digraphs, in increasing bitmask order
-    (bit i toggles the i-th arc of the lexicographic arc universe)."""
-    _check_enum_bounds(n, max_n, "digraph")
-    universe = arc_universe(n)
-    for mask in range(1 << len(universe)):
-        yield digraph_from_mask(n, mask, universe)
-
-
-def enumerate_bipartite(n, max_n=MAX_BIPARTITE_N):
-    """All 2^(n^2) labeled balanced bipartite graphs, in bitmask order."""
-    _check_enum_bounds(n, max_n, "bipartite")
-    universe = bipartite_edge_universe(n)
-    for mask in range(1 << len(universe)):
-        yield bipartite_from_mask(n, mask, universe)
-
-
-def enumerate_graphs(n, max_n=MAX_GRAPH_N):
-    """All 2^(n(n-1)/2) labeled undirected graphs, in bitmask order."""
-    _check_enum_bounds(n, max_n, "graph")
-    universe = graph_edge_universe(n)
-    for mask in range(1 << len(universe)):
-        yield graph_from_mask(n, mask, universe)
-
-
 _KIND_UNIVERSE = {
     "digraph": (arc_universe, digraph_from_mask),
     "bipartite": (bipartite_edge_universe, bipartite_from_mask),
     "graph": (graph_edge_universe, graph_from_mask),
 }
+
+# largest n each kind is enumerated exhaustively at (2^20, 2^25, 2^21 instances)
+_KIND_MAX_N = {"digraph": MAX_DIGRAPH_N, "bipartite": MAX_BIPARTITE_N, "graph": MAX_GRAPH_N}
+
+
+def _enumerate(kind, n, max_n):
+    _check_enum_bounds(n, _KIND_MAX_N[kind] if max_n is None else max_n, kind)
+    universe_fn, from_mask = _KIND_UNIVERSE[kind]
+    universe = universe_fn(n)
+    for mask in range(1 << len(universe)):
+        yield from_mask(n, mask, universe)
+
+
+def enumerate_digraphs(n, max_n=None):
+    """All 2^(n(n-1)) labeled loopless digraphs, in increasing bitmask order
+    (bit i toggles the i-th arc of the lexicographic arc universe).  ``max_n``
+    defaults to ``MAX_DIGRAPH_N``."""
+    return _enumerate("digraph", n, max_n)
+
+
+def enumerate_bipartite(n, max_n=None):
+    """All 2^(n^2) labeled balanced bipartite graphs, in bitmask order.
+    ``max_n`` defaults to ``MAX_BIPARTITE_N``."""
+    return _enumerate("bipartite", n, max_n)
+
+
+def enumerate_graphs(n, max_n=None):
+    """All 2^(n(n-1)/2) labeled undirected graphs, in bitmask order.
+    ``max_n`` defaults to ``MAX_GRAPH_N``."""
+    return _enumerate("graph", n, max_n)
 
 
 def random_instance(kind, n, rng):
@@ -195,21 +208,6 @@ def _decided(result):
     return result
 
 
-def _witness_json(witness):
-    if witness is None:
-        return None
-    return [
-        format_bipartite_vertex(v) if isinstance(v, tuple) else v
-        for v in witness.sequence
-    ]
-
-
-def _matching_json(matching):
-    if matching is None:
-        return None
-    return [list(p) for p in sorted(matching.pairs)]
-
-
 def _condition_hypothesis(fn):
     def hypothesis(instance, budget):
         report = fn(instance)
@@ -218,31 +216,18 @@ def _condition_hypothesis(fn):
     return hypothesis
 
 
-def _digraph_ham_conclusion(d, budget):
-    result = _decided(find_hamiltonian_cycle(d, budget))
-    return result.found, {
-        "hamiltonian": result.found,
-        "cycle": _witness_json(result.witness),
-        "nodes_explored": result.nodes_explored,
-    }
+def _ham_conclusion(solver):
+    """Conclusion "the instance is Hamiltonian", decided by ``solver``."""
 
+    def conclusion(instance, budget):
+        result = _decided(solver(instance, budget))
+        return result.found, {
+            "hamiltonian": result.found,
+            "cycle": witness_json(result.witness),
+            "nodes_explored": result.nodes_explored,
+        }
 
-def _bipartite_ham_conclusion(g, budget):
-    result = _decided(find_hamiltonian_cycle_bipartite(g, budget))
-    return result.found, {
-        "hamiltonian": result.found,
-        "cycle": _witness_json(result.witness),
-        "nodes_explored": result.nodes_explored,
-    }
-
-
-def _graph_ham_conclusion(g, budget):
-    result = _decided(find_hamiltonian_cycle_undirected(g, budget))
-    return result.found, {
-        "hamiltonian": result.found,
-        "cycle": _witness_json(result.witness),
-        "nodes_explored": result.nodes_explored,
-    }
+    return conclusion
 
 
 def _thm_zg_hypothesis(d, budget):
@@ -252,7 +237,7 @@ def _thm_zg_hypothesis(d, budget):
     return result.found, {
         "strongly_connected": True,
         "zmap_hamiltonian": result.found,
-        "zmap_cycle": _witness_json(result.witness),
+        "zmap_cycle": witness_json(result.witness),
     }
 
 
@@ -260,7 +245,7 @@ def _thm_gz_hypothesis(d, budget):
     result = _decided(find_hamiltonian_cycle(d, budget))
     return result.found, {
         "hamiltonian": result.found,
-        "cycle": _witness_json(result.witness),
+        "cycle": witness_json(result.witness),
     }
 
 
@@ -269,7 +254,7 @@ def _thm_gz_conclusion(d, budget):
     return len(matching) == d.n, {
         "max_matching_size": len(matching),
         "part_size": d.n,
-        "matching": _matching_json(matching),
+        "matching": witness_json(matching),
     }
 
 
@@ -277,7 +262,7 @@ def _pullback_hypothesis(d, budget):
     result = _decided(find_hamiltonian_cycle_bipartite(zmap(d), budget))
     return result.found, {
         "zmap_hamiltonian": result.found,
-        "zmap_cycle": _witness_json(result.witness),
+        "zmap_cycle": witness_json(result.witness),
     }
 
 
@@ -303,9 +288,9 @@ def _pullback_conclusion(d, budget):
     first_ok = is_spanning_cycle_factor(d.n, first)
     second_ok = is_spanning_cycle_factor(d.n, second)
     return first_ok and second_ok, {
-        "first_half": sorted(first),
+        "first_half": pairs_json(first),
         "first_half_is_cycle_factor": first_ok,
-        "second_half": sorted(second),
+        "second_half": pairs_json(second),
         "second_half_is_cycle_factor": second_ok,
     }
 
@@ -315,28 +300,19 @@ def _mm_k_hypothesis(g, budget):
     return bool(holding), {"holding_k": holding, "n": g.n}
 
 
-def _two_disjoint_cycles_conclusion(d, budget):
-    result = find_two_disjoint_hamiltonian_cycles(d, budget)
-    if result.exhausted:
-        raise BudgetExhausted
-    return result.found, {
-        "found": result.found,
-        "first": _witness_json(result.first),
-        "second": _witness_json(result.second),
-        "nodes_explored": result.nodes_explored,
-    }
+def _disjoint_pair_conclusion(solver):
+    """Conclusion "two disjoint cycles (or matchings) exist", by ``solver``."""
 
+    def conclusion(instance, budget):
+        result = _decided(solver(instance, budget))
+        return result.found, {
+            "found": result.found,
+            "first": witness_json(result.first),
+            "second": witness_json(result.second),
+            "nodes_explored": result.nodes_explored,
+        }
 
-def _two_disjoint_matchings_conclusion(g, budget):
-    result = find_two_disjoint_perfect_matchings(g, budget)
-    if result.exhausted:
-        raise BudgetExhausted
-    return result.found, {
-        "found": result.found,
-        "first": _matching_json(result.first),
-        "second": _matching_json(result.second),
-        "nodes_explored": result.nodes_explored,
-    }
+    return conclusion
 
 
 def _perfect_matching_conclusion(g, budget):
@@ -354,13 +330,21 @@ def _lv_conclusion(g, budget):
         if not extends_to_hamiltonian(g, matching, budget):
             return False, {
                 "perfect_matchings_checked": checked,
-                "non_extending_matching": _matching_json(matching),
+                "non_extending_matching": witness_json(matching),
             }
     return True, {"perfect_matchings_checked": checked}
 
 
 def build_claims() -> dict:
-    """The claim registry, keyed and ordered by claim id."""
+    """The claim registry, keyed and ordered by claim id.
+
+    The conclusions bind the solvers this module names when it runs, so a
+    rebuilt registry picks up any solver rebound since import.
+    """
+    digraph_ham = _ham_conclusion(find_hamiltonian_cycle)
+    bipartite_ham = _ham_conclusion(find_hamiltonian_cycle_bipartite)
+    graph_ham = _ham_conclusion(find_hamiltonian_cycle_undirected)
+    two_cycles = _disjoint_pair_conclusion(find_two_disjoint_hamiltonian_cycles)
     claims = [
         Claim(
             "thm-zg",
@@ -368,7 +352,7 @@ def build_claims() -> dict:
             False,
             "strong and bipartite image Hamiltonian => digraph Hamiltonian",
             _thm_zg_hypothesis,
-            _digraph_ham_conclusion,
+            digraph_ham,
         ),
         Claim(
             "thm-gz",
@@ -392,7 +376,7 @@ def build_claims() -> dict:
             True,
             "dirac degree bound => graph Hamiltonian",
             _condition_hypothesis(dirac),
-            _graph_ham_conclusion,
+            graph_ham,
         ),
         Claim(
             "ghouila",
@@ -400,7 +384,7 @@ def build_claims() -> dict:
             True,
             "ghouila-houri degree bound => digraph Hamiltonian",
             _condition_hypothesis(ghouila_houri),
-            _digraph_ham_conclusion,
+            digraph_ham,
         ),
         Claim(
             "faudree",
@@ -408,7 +392,7 @@ def build_claims() -> dict:
             False,
             "faudree low-degree count => graph Hamiltonian",
             _condition_hypothesis(faudree),
-            _graph_ham_conclusion,
+            graph_ham,
         ),
         Claim(
             "zhu",
@@ -416,7 +400,7 @@ def build_claims() -> dict:
             False,
             "digraph low-degree count => digraph Hamiltonian",
             _condition_hypothesis(zhu_digraph),
-            _digraph_ham_conclusion,
+            digraph_ham,
         ),
         Claim(
             "mm-k",
@@ -424,7 +408,7 @@ def build_claims() -> dict:
             False,
             "some admissible k passes the moon-moser-k count => bipartite Hamiltonian",
             _mm_k_hypothesis,
-            _bipartite_ham_conclusion,
+            bipartite_ham,
         ),
         Claim(
             "mm-half",
@@ -432,7 +416,7 @@ def build_claims() -> dict:
             True,
             "moon-moser half-degree bound => bipartite Hamiltonian",
             _condition_hypothesis(moon_moser_half),
-            _bipartite_ham_conclusion,
+            bipartite_ham,
         ),
         Claim(
             "cor1",
@@ -440,7 +424,7 @@ def build_claims() -> dict:
             False,
             "half-degree in/out bounds => two arc-disjoint Hamiltonian cycles",
             _condition_hypothesis(disjoint_hc_degree),
-            _two_disjoint_cycles_conclusion,
+            two_cycles,
         ),
         Claim(
             "lv",
@@ -456,7 +440,7 @@ def build_claims() -> dict:
             True,
             "woodall pair bound => digraph Hamiltonian",
             _condition_hypothesis(woodall),
-            _digraph_ham_conclusion,
+            digraph_ham,
         ),
         Claim(
             "cor2",
@@ -464,7 +448,7 @@ def build_claims() -> dict:
             False,
             "woodall pair bound plus two => two arc-disjoint Hamiltonian cycles",
             _condition_hypothesis(woodall_plus2),
-            _two_disjoint_cycles_conclusion,
+            two_cycles,
         ),
         Claim(
             "cor3a",
@@ -480,7 +464,7 @@ def build_claims() -> dict:
             False,
             "ore pair bound (n+2) => two edge-disjoint perfect matchings",
             _condition_hypothesis(lambda g: ore_bipartite(g, g.n + 2)),
-            _two_disjoint_matchings_conclusion,
+            _disjoint_pair_conclusion(find_two_disjoint_perfect_matchings),
         ),
     ]
     return {c.claim_id: c for c in claims}
@@ -560,13 +544,21 @@ def run_suite(
     Exhaustive mode enumerates all labeled instances; random mode draws
     ``samples`` instances per size from a generator seeded with ``seed``
     (kinds are processed digraph, bipartite, graph and sizes ascending, so
-    the draw order is reproducible).  Counterexamples are appended to
-    ``store_path`` when given.  Returns ClaimVerdicts in request order.
+    the draw order is reproducible).  Exhaustive mode raises GraphError
+    before any work when a requested size exceeds its kind's cap
+    (``MAX_DIGRAPH_N``, ``MAX_BIPARTITE_N``, ``MAX_GRAPH_N``); random mode
+    has no cap.  Counterexamples are appended to ``store_path`` when given.
+    Returns ClaimVerdicts in request order.
     """
     if mode not in ("exhaustive", "random"):
         raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
     claims = _resolve_claims(claim_ids)
     sizes = sorted(set(n_values))
+    if mode == "exhaustive":  # one size past a cap is 2^28 instances or more
+        for kind, max_n in _KIND_MAX_N.items():
+            if any(c.instance_kind == kind for c in claims):
+                for n in sizes:
+                    _check_enum_bounds(n, max_n, kind)
     rng = random.Random(seed)
     tallies = {c.claim_id: _Tally() for c in claims}
 
@@ -696,7 +688,12 @@ def render_table(verdicts) -> str:
                 status,
             )
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return align_columns(rows)
+
+
+def align_columns(rows) -> str:
+    """Rows of string cells as text lines, columns padded to a common width."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from zham import verifier
 from zham.cli import main
 from zham.verifier import CLAIMS, Claim
 
@@ -16,6 +18,12 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "cli-output.schema.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden(name):
+    """Exact stdout of one subcommand, as first recorded in tests/golden."""
+    return (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def _validate(payload, def_name):
@@ -95,7 +103,9 @@ class TestZmapCommand:
 class TestSolverCommands:
     def test_ham_finds_the_triangle(self, c3_file, capsys):
         assert main(["ham", c3_file]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == _golden("ham.json")
+        payload = json.loads(out)
         assert payload["found"] is True and payload["cycle"] == [1, 2, 3]
         _validate(payload, "solve")
 
@@ -125,7 +135,9 @@ class TestSolverCommands:
 
     def test_bipham_reports_tagged_cycle(self, zk3_file, capsys):
         assert main(["bipham", zk3_file]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == _golden("bipham.json")
+        payload = json.loads(out)
         assert payload["cycle"] == ["x1", "y2", "x3", "y1", "x2", "y3"]
         _validate(payload, "solve")
 
@@ -133,33 +145,43 @@ class TestSolverCommands:
         path = tmp_path / "t.txt"
         path.write_text("G 3\n1 2\n2 3\n1 3\n")
         assert main(["gham", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["cycle"] == [1, 2, 3]
+        out = capsys.readouterr().out
+        assert out == _golden("gham.json")
+        assert json.loads(out)["cycle"] == [1, 2, 3]
 
     def test_match(self, tmp_path, capsys):
         path = tmp_path / "zc3.txt"
         path.write_text(ZC3_TEXT)
         assert main(["match", str(path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == _golden("match.json")
+        payload = json.loads(out)
         assert payload == {"pairs": [[1, 2], [2, 3], [3, 1]], "perfect": True, "size": 3}
         _validate(payload, "match")
 
     def test_pm2(self, zk3_file, capsys):
         assert main(["pm2", zk3_file]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == _golden("pm2.json")
+        payload = json.loads(out)
         assert payload["found"] is True
         assert not set(map(tuple, payload["first"])) & set(map(tuple, payload["second"]))
         _validate(payload, "pm2")
 
     def test_pushforward_triangle(self, c3_file, capsys):
         assert main(["pushforward", c3_file]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == _golden("pushforward.json")
+        payload = json.loads(out)
         assert payload["matching"] == [[1, 2], [2, 3], [3, 1]]
         assert payload["perfect"] is True
         _validate(payload, "pushforward")
 
     def test_pullback_splits_the_six_cycle(self, zk3_file, capsys):
         assert main(["pullback", zk3_file]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == _golden("pullback.json")
+        payload = json.loads(out)
         assert payload["first_half"] == [[1, 2], [2, 3], [3, 1]]
         assert payload["second_half"] == [[1, 3], [2, 1], [3, 2]]
         assert payload["first_half_is_cycle_factor"] is True
@@ -184,7 +206,9 @@ class TestConditionsCommand:
 
     def test_all_applicable_conditions_run(self, c3_file, capsys):
         assert main(["conditions", c3_file]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == _golden("conditions.json")
+        payload = json.loads(out)
         ids = {r["condition_id"] for r in payload["reports"]}
         assert ids == {"ghouila-houri", "zhu", "cor1-disjoint-hc", "woodall", "cor2-woodall-plus2"}
 
@@ -211,6 +235,7 @@ class TestConditionsCommand:
         assert main(["conditions", c3_file, "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert "woodall" in out and "condition" in out
+        assert out == _golden("conditions_table.txt")
 
 
 class TestVerifyCommand:
@@ -244,6 +269,27 @@ class TestVerifyCommand:
         assert main(["verify", "--claims", "mm-k", "--n-max", "3", "--store", str(store)]) == 0
         for line in store.read_text().splitlines():
             _validate(json.loads(line), "storeLine")
+
+    def test_default_json_report_is_byte_stable(self, capsys):
+        assert main(["verify", "--n-max", "3", "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "daf0285d786d7ac09dd65727777ac840834a61206687f5357e68f19f2433899c"
+
+    def test_exhaustive_size_above_cap_exits_3_before_sweeping(self, monkeypatch, capsys):
+        def no_decode(n, mask, universe=None):
+            raise AssertionError("an instance was decoded before the size cap was checked")
+
+        monkeypatch.setitem(verifier._KIND_UNIVERSE, "digraph", (verifier.arc_universe, no_decode))
+        assert main(["verify", "--claims", "thm-gz", "--n-min", "6", "--n-max", "6"]) == 3
+        assert "capped at n=5" in capsys.readouterr().err
+
+    def test_random_mode_has_no_size_cap(self, capsys):
+        args = [
+            "verify", "--claims", "thm-gz", "--n-min", "6", "--n-max", "6",
+            "--mode", "random", "--samples", "20", "--seed", "1",
+        ]
+        assert main(args) == 0
+        assert "thm-gz" in capsys.readouterr().out
 
     def test_random_mode_is_reproducible(self, capsys):
         args = [
