@@ -207,12 +207,17 @@ def woodall_plus2(d: Digraph) -> ConditionReport:
 
 
 def _pair_deficits(d, threshold):
+    """Ordered non-arc pairs u != v with d+(u) + d-(v) below ``threshold``."""
+    vertices = d.vertices()
+    in_degree = [0] + [d.in_degree(v) for v in vertices]
     out = []
-    for u in d.vertices():
+    for u in vertices:
         du = d.out_degree(u)
-        for v in d.vertices():
-            if u != v and not d.has_arc(u, v) and du + d.in_degree(v) < threshold:
-                out.append({"pair": [u, v], "degree_sum": du + d.in_degree(v)})
+        succ = d.successors(u)
+        for v in vertices:
+            total = du + in_degree[v]
+            if total < threshold and u != v and v not in succ:
+                out.append({"pair": [u, v], "degree_sum": total})
     return out
 
 
@@ -237,12 +242,15 @@ def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
 
 
 def _cross_pair_deficits(g, threshold):
+    """Non-adjacent cross pairs (x_i, y_j) with d(x_i) + d(y_j) below ``threshold``."""
+    parts = range(1, g.n + 1)
+    y_degree = [0] + [g.degree_y(j) for j in parts]
     out = []
-    for i in range(1, g.n + 1):
+    for i in parts:
         di = g.degree_x(i)
-        for j in range(1, g.n + 1):
-            if not g.has_edge(i, j) and di + g.degree_y(j) < threshold:
-                out.append(
-                    {"pair": [f"x{i}", f"y{j}"], "degree_sum": di + g.degree_y(j)}
-                )
+        neighbors = g.neighbors_x(i)
+        for j in parts:
+            total = di + y_degree[j]
+            if total < threshold and j not in neighbors:
+                out.append({"pair": [f"x{i}", f"y{j}"], "degree_sum": total})
     return out

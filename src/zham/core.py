@@ -5,6 +5,14 @@ their one JSON encoding.
 All types are immutable after construction and validate their invariants in
 ``__post_init__``; instances are safe to share between threads.  Vertices are
 1-based integers; bipartite vertices are ``("x", i)`` / ``("y", j)`` tags.
+
+``Digraph``, ``Graph`` and ``BipartiteGraph`` carry a private ``_memo`` dict
+that the solvers and the Z-mapping fill with facts derived deterministically
+from the value (strong connectivity, a cycle search per node budget, the
+bipartite image).  It never takes part in equality, hashing or ``repr``, and
+it lives exactly as long as the instance, so the value stays immutable.  It
+is safe to share between threads: a race at worst computes an equal result
+twice.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ class Digraph:
     arcs: frozenset = frozenset()
     _succ: tuple = field(init=False, repr=False, compare=False)
     _pred: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -116,6 +125,7 @@ class Graph:
     n: int
     edges: frozenset = frozenset()
     _adj: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -164,6 +174,7 @@ class BipartiteGraph:
     edges: frozenset = frozenset()
     _adj_x: tuple = field(init=False, repr=False, compare=False)
     _adj_y: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:

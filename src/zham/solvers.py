@@ -6,7 +6,9 @@ order — so identical inputs always produce identical witnesses and identical
 node counts.  Searches that can blow up exponentially take a node ``budget``;
 running out is reported as an explicit outcome (``exhausted``), never
 conflated with "not found".  Returned witnesses are self-certified against
-the host before they leave a solver.
+the host before they leave a solver.  Strong connectivity and each
+Hamiltonian cycle search (per node budget) are memoised on the instance, so
+repeated questions about one value are answered once.
 """
 
 from __future__ import annotations
@@ -99,9 +101,30 @@ def strongly_connected_components(d: Digraph):
     return components
 
 
+def _reaches_all(adjacency, n):
+    """True when every vertex of 1..n is reachable from vertex 1."""
+    seen = {1}
+    stack = [1]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
 def strongly_connected(d: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    return len(strongly_connected_components(d)) == 1
+    """True iff every ordered vertex pair is joined by a directed path.
+
+    Two iterative sweeps from vertex 1, one forward and one backward, so any
+    n works.  The answer is memoised on ``d``.
+    """
+    strong = d._memo.get("strongly_connected")
+    if strong is None:
+        strong = d._memo["strongly_connected"] = (
+            _reaches_all(d._succ, d.n) and _reaches_all(d._pred, d.n)
+        )
+    return strong
 
 
 def _search_cycle(n, start, neighbors, budget):
@@ -177,12 +200,21 @@ def _bipartite_ids(g: BipartiteGraph):
 def _find_cycle(host, viable, budget) -> SolveResult:
     """Prune, search and certify: the body of every ``find_hamiltonian_cycle*``.
 
-    ``viable`` is the host kind's necessary-condition prune; a certified
-    cycle must pass it again.  A bipartite host is searched on the merged
-    ids of ``_bipartite_ids`` (parts alternate by construction) and its
-    witness is tagged back to ("x", i) / ("y", j) vertices.
+    ``viable`` is the host kind's necessary-condition prune.  A bipartite
+    host is searched on the merged ids of ``_bipartite_ids`` (parts alternate
+    by construction) and its witness is tagged back to ("x", i) / ("y", j)
+    vertices.  The result is memoised on ``host`` per node budget, so asking
+    again with the same budget returns it without a second search.
     """
     b = _Budget(budget)
+    key = ("hamiltonian_cycle", b.limit)
+    result = host._memo.get(key)
+    if result is None:
+        result = host._memo[key] = _solve_cycle(host, viable, b)
+    return result
+
+
+def _solve_cycle(host, viable, b) -> SolveResult:
     if not viable(host):
         return SolveResult(False, None, 0)
     n = host.n
@@ -202,7 +234,7 @@ def _find_cycle(host, viable, budget) -> SolveResult:
     if bipartite:
         seq = tuple(("x", v) if v <= n else ("y", v - n) for v in seq)
     witness = CycleWitness(kind, seq)
-    assert check_cycle(host, witness) and viable(host)
+    assert check_cycle(host, witness) and witness.is_hamiltonian(host)
     return SolveResult(True, witness, b.spent)
 
 

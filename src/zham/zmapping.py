@@ -51,9 +51,13 @@ def zmap(d: Digraph) -> BipartiteGraph:
 
     Degrees transport exactly: deg(x_i) = out-degree of i, deg(y_j) =
     in-degree of j, and |E| = |A|.  No (x_i, y_i) edge ever appears because
-    the source is loopless.
+    the source is loopless.  The image is memoised on ``d``, so every caller
+    shares one ``BipartiteGraph`` and with it that graph's memoised solves.
     """
-    return BipartiteGraph(d.n, d.arcs)
+    image = d._memo.get("zmap")
+    if image is None:
+        image = d._memo["zmap"] = BipartiteGraph(d.n, d.arcs)
+    return image
 
 
 def unzmap(g: BipartiteGraph) -> Digraph:

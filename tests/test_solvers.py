@@ -54,6 +54,12 @@ class TestStrongConnectivity:
     def test_single_vertex_is_strong(self):
         assert strongly_connected(Digraph(1))
 
+    def test_long_cycle_needs_no_recursion(self):
+        n = 3000
+        d = build_digraph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+        assert strongly_connected(d)
+        assert not strongly_connected(Digraph(n, d.arcs - {(n, 1)}))
+
     def test_component_decomposition(self):
         d = build_digraph(4, [(1, 2), (2, 1), (3, 4)])
         comps = strongly_connected_components(d)
@@ -95,7 +101,7 @@ class TestFindHamiltonianCycle:
 
     def test_witness_is_deterministic_and_starts_at_one(self):
         first = find_hamiltonian_cycle(K3)
-        second = find_hamiltonian_cycle(K3)
+        second = find_hamiltonian_cycle(Digraph(K3.n, K3.arcs))  # fresh, equal copy
         assert first == second
         assert first.witness.sequence[0] == 1
         assert first.witness.sequence == (1, 2, 3)  # smallest successor first
@@ -267,10 +273,48 @@ class TestBudget:
 
     def test_identical_runs_spend_identically(self):
         a = find_hamiltonian_cycle(K3)
-        b = find_hamiltonian_cycle(K3)
+        b = find_hamiltonian_cycle(Digraph(K3.n, K3.arcs))  # fresh, equal copy
         assert a.nodes_explored == b.nodes_explored
 
     def test_disjoint_search_budget(self):
         k4 = build_digraph(4, [(u, v) for u in range(1, 5) for v in range(1, 5) if u != v])
         starved = find_two_disjoint_hamiltonian_cycles(k4, budget=3)
         assert starved.exhausted and not starved.found
+
+
+def _complete_digraph(n):
+    return build_digraph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v])
+
+
+class TestInstanceMemo:
+    @pytest.mark.parametrize(
+        "host, solver",
+        [
+            (lambda d: d, find_hamiltonian_cycle),
+            (zmap, find_hamiltonian_cycle_bipartite),
+        ],
+        ids=["digraph", "bipartite-image"],
+    )
+    def test_cycle_search_is_keyed_by_budget(self, host, solver):
+        g = host(_complete_digraph(5))
+        starved = solver(g, budget=3)
+        assert starved.exhausted and not starved.found
+        full = solver(g)
+        assert full.found and not full.exhausted
+        assert solver(g, budget=3) == starved
+        assert solver(g) is full
+
+    def test_zmap_image_is_shared(self):
+        d = _complete_digraph(4)
+        assert zmap(d) is zmap(d)
+        assert zmap(d) is not zmap(Digraph(d.n, d.arcs))
+
+    def test_memo_is_invisible_to_value_semantics(self):
+        solved = _complete_digraph(4)
+        fresh = Digraph(solved.n, solved.arcs)
+        find_hamiltonian_cycle(solved)
+        find_hamiltonian_cycle_bipartite(zmap(solved))
+        assert solved._memo and not fresh._memo
+        assert solved == fresh and hash(solved) == hash(fresh)
+        assert repr(solved) == repr(fresh)
+        assert zmap(solved) == zmap(fresh)

@@ -125,6 +125,26 @@ class TestRunSuite:
         second = run_suite(["thm-zg", "mm-half"], **kwargs)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_values=range(1, 4), mode="exhaustive"),
+            dict(n_values=[5], mode="random", samples=200, seed=7),
+        ],
+        ids=["exhaustive-n3", "random-n5"],
+    )
+    def test_claims_sharing_an_instance_report_as_if_alone(self, kwargs):
+        # every digraph claim asks the same instance object; its memo must
+        # not change any verdict, witness or node count
+        digraph_claims = [c for c, claim in CLAIMS.items() if claim.instance_kind == "digraph"]
+        assert len(digraph_claims) == 8
+        together = run_suite(digraph_claims, **kwargs)
+        alone = [v for c in digraph_claims for v in run_suite([c], **kwargs)]
+        assert together == alone
+        assert report_json(build_report(together, **kwargs)) == report_json(
+            build_report(alone, **kwargs)
+        )
+
     def test_unknown_claim_is_rejected(self):
         with pytest.raises(GraphError):
             run_suite(["no-such-claim"], [2])
