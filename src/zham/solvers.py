@@ -9,6 +9,14 @@ conflated with "not found".  Returned witnesses are self-certified against
 the host before they leave a solver.  Strong connectivity and each
 Hamiltonian cycle search (per node budget) are memoised on the instance, so
 repeated questions about one value are answered once.
+
+Strong connectivity, Tarjan's decomposition and the Hamiltonian cycle search
+are recursion-free, so they work for any n.  ``nodes_explored`` of a cycle
+search counts the nodes of the full backtracking tree, so a budget means the
+same number of nodes as a node-by-node walk; but a subtree below an interior
+(visited set, end vertex) state that held no cycle is walked once and charged
+from a table on every later visit.  The table holds at most one entry per
+distinct interior state walked and is dropped when the search ends.
 """
 
 from __future__ import annotations
@@ -67,37 +75,48 @@ class DisjointPair:
 
 
 def strongly_connected_components(d: Digraph):
-    """Tarjan's algorithm; components sorted internally, in completion order."""
+    """Tarjan's algorithm; components sorted internally, in completion order.
+
+    The depth-first walk keeps its own stack of (vertex, successor iterator)
+    frames, so any n works.
+    """
     index = {}
     low = {}
     on_stack = set()
     stack = []
     components = []
-    counter = iter(range(d.n + 1))
-
-    def connect(v):
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        on_stack.add(v)
-        for w in d.successors(v):
-            if w not in index:
-                connect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
+    for root in d.vertices():
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        walk = [(root, iter(d.successors(root)))]
+        while walk:
+            v, successors = walk[-1]
+            for w in successors:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    walk.append((w, iter(d.successors(w))))
                     break
-            components.append(tuple(sorted(comp)))
-
-    for v in d.vertices():
-        if v not in index:
-            connect(v)
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                walk.pop()
+                if walk:
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(tuple(sorted(comp)))
     return components
 
 
@@ -127,32 +146,79 @@ def strongly_connected(d: Digraph) -> bool:
     return strong
 
 
-def _search_cycle(n, start, neighbors, budget):
-    """Generic backtracking cycle search over vertices 1..n (or 1..2n ids).
+def _search_cycle(n, start, adj, budget):
+    """Backtracking cycle search over vertex ids 1..n (or 1..2n bipartite ids).
 
+    ``adj[v]`` is the adjacency bitmask of v (bit w set for each neighbor w).
     Yields each spanning cycle as a tuple, always anchored at ``start`` and
-    extending by the smallest unvisited neighbor first.
+    extending by the smallest unvisited neighbor (lowest bit) first.
+
+    The walk keeps an explicit stack, so any n works.  ``budget`` is charged
+    one node per path prefix of the full backtracking tree, yet no subtree
+    that held no cycle is walked twice: what lies below a path depends only
+    on its (visited set, end vertex) state, so the ``dead`` table keeps the
+    node count of each such interior subtree and a repeated state is charged
+    from it.  Leaves and dead ends, which cost no more to re-walk than to
+    look up, stay out of the table.  ``budget`` is re-read after each yield:
+    a caller may spend from it while the search is suspended.
     """
-    visited = bytearray(n + 1)
-    visited[start] = 1
-    path = [start]
     budget.spend()
-
-    def extend(v):
-        if len(path) == n:
-            if start in neighbors(v):
-                yield tuple(path)
-            return
-        for w in neighbors(v):
-            if not visited[w]:
-                visited[w] = 1
+    limit = budget.limit
+    spent = budget.spent
+    start_bit = 1 << start
+    full = (1 << (n + 1)) - 2
+    dead = {}
+    found = 0
+    path = [start]
+    visited = start_bit
+    # the top frame lives in locals; ``frames`` holds the ones below it
+    frames = []
+    v, todo, entry, entry_found = start, adj[start] & ~start_bit, spent, 0
+    while True:
+        if todo:
+            low = todo & -todo
+            todo ^= low
+            spent += 1
+            if spent > limit:
+                budget.spent = spent
+                raise BudgetExhausted
+            w = low.bit_length() - 1
+            state = visited | low
+            if state == full:
+                if adj[w] & start_bit:
+                    found += 1
+                    budget.spent = spent
+                    yield (*path, w)
+                    spent = budget.spent
+                continue
+            below = dead.get((state, w))
+            if below is not None:
+                spent += below
+                if spent > limit:
+                    budget.spent = limit + 1
+                    raise BudgetExhausted
+                continue
+            step = adj[w] & ~state
+            if step:
+                frames.append((v, todo, entry, entry_found))
+                v, todo, entry, entry_found = w, step, spent, found
+                visited = state
                 path.append(w)
-                budget.spend()
-                yield from extend(w)
-                path.pop()
-                visited[w] = 0
+        elif frames:
+            if found == entry_found:
+                dead[visited, v] = spent - entry
+            visited ^= 1 << v
+            path.pop()
+            v, todo, entry, entry_found = frames.pop()
+        else:
+            break
+    budget.spent = spent
 
-    yield from extend(start)
+
+def _masks(rows):
+    """Adjacency bitmasks of adjacency rows: bit w of ``masks[v]`` for each
+    w in ``rows[v]``."""
+    return [sum(1 << w for w in row) for row in rows]
 
 
 def _first(iterator):
@@ -220,13 +286,13 @@ def _solve_cycle(host, viable, b) -> SolveResult:
     n = host.n
     bipartite = isinstance(host, BipartiteGraph)
     if bipartite:
-        size, neighbors, kind = 2 * n, _bipartite_ids(host).__getitem__, GRAPH_CYCLE
+        size, rows, kind = 2 * n, _bipartite_ids(host), GRAPH_CYCLE
     elif isinstance(host, Digraph):
-        size, neighbors, kind = n, host.successors, DIGRAPH_CYCLE
+        size, rows, kind = n, host._succ, DIGRAPH_CYCLE
     else:
-        size, neighbors, kind = n, host.neighbors, GRAPH_CYCLE
+        size, rows, kind = n, host._adj, GRAPH_CYCLE
     try:
-        seq = _first(_search_cycle(size, 1, neighbors, b))
+        seq = _first(_search_cycle(size, 1, _masks(rows), b))
     except BudgetExhausted:
         return SolveResult(False, None, b.spent, exhausted=True)
     if seq is None:
@@ -358,7 +424,7 @@ def enumerate_hamiltonian_cycles(d: Digraph, budget=None):
     b = _Budget(budget)
     if not _digraph_viable(d):
         return
-    for seq in _search_cycle(d.n, 1, d.successors, b):
+    for seq in _search_cycle(d.n, 1, _masks(d._succ), b):
         yield CycleWitness(DIGRAPH_CYCLE, seq)
 
 
@@ -372,14 +438,14 @@ def find_two_disjoint_hamiltonian_cycles(d: Digraph, budget=None) -> DisjointPai
     if not _digraph_viable(d, 2):
         return DisjointPair(False, None, None, 0)
     try:
-        for first in _search_cycle(d.n, 1, d.successors, b):
+        for first in _search_cycle(d.n, 1, _masks(d._succ), b):
             cycle_arcs = frozenset(
                 (first[i], first[(i + 1) % d.n]) for i in range(d.n)
             )
             rest = Digraph(d.n, d.arcs - cycle_arcs)
             if not _digraph_viable(rest):
                 continue
-            second = _first(_search_cycle(rest.n, 1, rest.successors, b))
+            second = _first(_search_cycle(rest.n, 1, _masks(rest._succ), b))
             if second is not None:
                 w1 = CycleWitness(DIGRAPH_CYCLE, first)
                 w2 = CycleWitness(DIGRAPH_CYCLE, second)

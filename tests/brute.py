@@ -173,3 +173,37 @@ def graphs(draw, min_n=1, max_n=8):
     universe = graph_edge_universe(n)
     edges = draw(st.sets(st.sampled_from(universe))) if universe else set()
     return Graph(n, frozenset(edges))
+
+
+# ---------------------------------------------------------------------------
+# Reference cycle-search kernel
+
+
+def search_cycle_reference(n, start, neighbors, budget):
+    """The recursive backtracking walk that ``solvers._search_cycle`` must
+    match: same cycles in the same order, the same budget charges.
+
+    Walks every node of the tree, spending one budget node per path prefix;
+    ``neighbors(v)`` is v's ascending neighbor tuple.  Recursion depth grows
+    with n, so it serves small instances only.
+    """
+    visited = bytearray(n + 1)
+    visited[start] = 1
+    path = [start]
+    budget.spend()
+
+    def extend(v):
+        if len(path) == n:
+            if start in neighbors(v):
+                yield tuple(path)
+            return
+        for w in neighbors(v):
+            if not visited[w]:
+                visited[w] = 1
+                path.append(w)
+                budget.spend()
+                yield from extend(w)
+                path.pop()
+                visited[w] = 0
+
+    yield from extend(start)

@@ -115,6 +115,15 @@ class TestSolverCommands:
         assert main(["ham", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["found"] is False
 
+    def test_ham_on_a_long_cycle_needs_no_recursion(self, tmp_path, capsys):
+        n = 3000
+        path = tmp_path / "c3000.txt"
+        path.write_text(f"D {n}\n" + "".join(f"{v} {v % n + 1}\n" for v in range(1, n + 1)))
+        assert main(["ham", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["found"] is True and payload["nodes_explored"] == n
+        assert payload["cycle"] == list(range(1, n + 1))
+
     def test_ham_budget_exhaustion_exits_4(self, tmp_path, capsys):
         path = tmp_path / "k5.txt"
         arcs = [(u, v) for u in range(1, 6) for v in range(1, 6) if u != v]

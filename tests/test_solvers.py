@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from zham import (
     BipartiteGraph,
@@ -21,10 +22,12 @@ from zham import (
     strongly_connected_components,
     zmap,
 )
+from zham import solvers
 from zham.solvers import enumerate_perfect_matchings
 from zham.verifier import enumerate_bipartite, enumerate_digraphs
 
 from brute import (
+    bipartite_graphs,
     brute_extends,
     brute_ham_bipartite,
     brute_ham_cycle_arc_sets,
@@ -35,6 +38,7 @@ from brute import (
     brute_two_disjoint_pms,
     digraphs,
     graphs,
+    search_cycle_reference,
 )
 
 C3 = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
@@ -58,7 +62,11 @@ class TestStrongConnectivity:
         n = 3000
         d = build_digraph(n, [(v, v % n + 1) for v in range(1, n + 1)])
         assert strongly_connected(d)
-        assert not strongly_connected(Digraph(n, d.arcs - {(n, 1)}))
+        assert strongly_connected_components(d) == [tuple(range(1, n + 1))]
+        path = Digraph(n, d.arcs - {(n, 1)})
+        assert not strongly_connected(path)
+        # the path's last vertex completes first
+        assert strongly_connected_components(path) == [(v,) for v in range(n, 0, -1)]
 
     def test_component_decomposition(self):
         d = build_digraph(4, [(1, 2), (2, 1), (3, 4)])
@@ -149,6 +157,13 @@ class TestFindHamiltonianCycleUndirected:
     def test_path_fails(self):
         g = Graph(4, frozenset({(1, 2), (2, 3), (3, 4)}))
         assert not find_hamiltonian_cycle_undirected(g).found
+
+    def test_long_cycle_needs_no_recursion(self):
+        n = 3000
+        g = Graph(n, frozenset((v, v % n + 1) for v in range(1, n + 1)))
+        result = find_hamiltonian_cycle_undirected(g)
+        assert result.found and result.nodes_explored == n
+        assert result.witness.sequence == tuple(range(1, n + 1))
 
     def test_small_graphs_agree_with_oracle(self):
         from zham.verifier import enumerate_graphs
@@ -318,3 +333,102 @@ class TestInstanceMemo:
         assert solved == fresh and hash(solved) == hash(fresh)
         assert repr(solved) == repr(fresh)
         assert zmap(solved) == zmap(fresh)
+
+
+def _two_blocks():
+    """Complete digraphs on 1..6 and 6..12 sharing vertex 6: strong, every
+    degree prune passes, never Hamiltonian, so the search runs to the end."""
+    blocks = (range(1, 7), range(6, 13))
+    return build_digraph(12, [(u, v) for b in blocks for u in b for v in b if u != v])
+
+
+class TestNodeCounts:
+    def test_exhaustive_search_counts_every_node_of_the_tree(self):
+        result = find_hamiltonian_cycle(_two_blocks())
+        assert not result.found and not result.exhausted
+        assert result.nodes_explored == 127466
+
+    @pytest.mark.parametrize("limit", [127465, 127460])
+    def test_budget_crossed_by_a_charged_subtree(self, limit):
+        # the last 15 nodes of the tree are one dead subtree charged at once;
+        # the count stops one past the limit, as a node-by-node walk would
+        result = find_hamiltonian_cycle(_two_blocks(), budget=limit)
+        assert result.exhausted and not result.found
+        assert result.nodes_explored == limit + 1
+
+
+def _kernel_input(host):
+    """(id count, adjacency rows) that the solvers search ``host`` on."""
+    if isinstance(host, BipartiteGraph):
+        return 2 * host.n, solvers._bipartite_ids(host)
+    if isinstance(host, Digraph):
+        return host.n, host._succ
+    return host.n, host._adj
+
+
+def _run_kernel(kernel, size, adjacency, limit, first_only):
+    """The cycles a kernel yields (the first only, or all), the nodes it
+    spent, and whether it ran out of budget."""
+    budget = solvers._Budget(limit)
+    cycles = []
+    try:
+        for cycle in kernel(size, 1, adjacency, budget):
+            cycles.append(cycle)
+            if first_only:
+                break
+    except solvers.BudgetExhausted:
+        return cycles, budget.spent, True
+    return cycles, budget.spent, False
+
+
+def _reference_on_masks(n, start, adj, budget):
+    """The reference kernel behind the bitmask kernel's signature."""
+    rows = [tuple(w for w in range(1, n + 1) if mask >> w & 1) for mask in adj]
+    return search_cycle_reference(n, start, rows.__getitem__, budget)
+
+
+BUDGETS = st.sampled_from([None, 1, 5, 50])
+
+
+class TestCycleKernelMatchesReference:
+    """The bitmask kernel yields the recursive walk's cycles, in its order,
+    and spends exactly its nodes, down to where a budget runs out."""
+
+    @staticmethod
+    def _check(host, limit):
+        size, rows = _kernel_input(host)
+        for first_only in (True, False):
+            got = _run_kernel(solvers._search_cycle, size, solvers._masks(rows), limit, first_only)
+            want = _run_kernel(search_cycle_reference, size, rows.__getitem__, limit, first_only)
+            assert got == want
+
+    @given(digraphs(max_n=7), BUDGETS)
+    def test_digraphs(self, d, limit):
+        self._check(d, limit)
+
+    @given(bipartite_graphs(max_n=4), BUDGETS)
+    def test_bipartite_graphs(self, g, limit):
+        self._check(g, limit)
+
+    @given(graphs(max_n=7), BUDGETS)
+    def test_graphs(self, g, limit):
+        self._check(g, limit)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            _complete_digraph(4),
+            _complete_digraph(5),
+            # four second searches fail before the pair is found, so the
+            # first search resumes each time after another one has spent
+            build_digraph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 1),
+                              (3, 2), (3, 5), (4, 1), (4, 5), (5, 2), (5, 3), (5, 4)]),
+        ],
+        ids=["K4", "K5", "resumed"],
+    )
+    def test_disjoint_pair_shares_one_budget(self, d, monkeypatch):
+        limits = [None, *range(1, find_two_disjoint_hamiltonian_cycles(d).nodes_explored + 1)]
+        got = [find_two_disjoint_hamiltonian_cycles(d, limit) for limit in limits]
+        assert got[0].found and got[-1] == got[0] and got[-2].exhausted
+        monkeypatch.setattr(solvers, "_search_cycle", _reference_on_masks)
+        assert got == [find_two_disjoint_hamiltonian_cycles(d, limit) for limit in limits]
