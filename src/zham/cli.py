@@ -103,21 +103,12 @@ def _write_text(path, text):
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _cmd_zmap(args):
-    d = _load(args.input, Digraph, "digraph (D header)")
-    g = zmap(d)
-    _write_text(args.output, serialize_graph(g))
+def _cmd_transform(kind, label, transform, args):
+    """Load one ``kind`` of graph and write its ``transform`` image."""
+    image = transform(_load(args.input, kind, label))
+    _write_text(args.output, serialize_graph(image))
     if args.dot:
-        _write_text(args.dot, to_dot(g))
-    return EXIT_OK
-
-
-def _cmd_unzmap(args):
-    g = _load(args.input, BipartiteGraph, "bipartite (B header)")
-    d = unzmap(g)
-    _write_text(args.output, serialize_graph(d))
-    if args.dot:
-        _write_text(args.dot, to_dot(d))
+        _write_text(args.dot, to_dot(image))
     return EXIT_OK
 
 
@@ -309,13 +300,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("zmap", help="digraph file -> bipartite image file")
-    _add_io(p, output=True, dot=True)
-    p.set_defaults(func=_cmd_zmap)
-
-    p = sub.add_parser("unzmap", help="bipartite file -> digraph preimage file")
-    _add_io(p, output=True, dot=True)
-    p.set_defaults(func=_cmd_unzmap)
+    for name, help_text, kind, label, transform in (
+        ("zmap", "digraph file -> bipartite image file", Digraph, "digraph (D header)", zmap),
+        ("unzmap", "bipartite file -> digraph preimage file", BipartiteGraph,
+         "bipartite (B header)", unzmap),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_io(p, output=True, dot=True)
+        p.set_defaults(func=partial(_cmd_transform, kind, label, transform))
 
     for name, what, kind, label, solver in (
         ("ham", "directed", Digraph, "digraph (D header)", find_hamiltonian_cycle),

@@ -10,13 +10,15 @@ the host before they leave a solver.  Strong connectivity and each
 Hamiltonian cycle search (per node budget) are memoised on the instance, so
 repeated questions about one value are answered once.
 
-Strong connectivity, Tarjan's decomposition and the Hamiltonian cycle search
-are recursion-free, so they work for any n.  ``nodes_explored`` of a cycle
-search counts the nodes of the full backtracking tree, so a budget means the
-same number of nodes as a node-by-node walk; but a subtree below an interior
-(visited set, end vertex) state that held no cycle is walked once and charged
-from a table on every later visit.  The table holds at most one entry per
-distinct interior state walked and is dropped when the search ends.
+Every search keeps its own stack instead of recursing, so each works for
+any n.  ``extends_to_hamiltonian`` has no search of its own: it asks the
+cycle search about the Z-mapping preimage of the graph with the matching
+contracted.  ``nodes_explored`` of a cycle search counts the nodes of the
+full backtracking tree, so a budget means the same number of nodes as a
+node-by-node walk; but a subtree below an interior (visited set, end vertex)
+state that held no cycle is walked once and charged from a table on every
+later visit.  The table holds at most one entry per distinct interior state
+walked and is dropped when the search ends.
 """
 
 from __future__ import annotations
@@ -364,20 +366,36 @@ def max_matching(g: BipartiteGraph) -> Matching:
                     queue.append(nxt)
         return found_free
 
-    def dfs(i):
-        for j in g.neighbors_x(i):
-            nxt = match_y[j]
-            if nxt == 0 or (dist[nxt] == dist[i] + 1 and dfs(nxt)):
-                match_x[i] = j
-                match_y[j] = i
-                return True
-        dist[i] = INF
-        return False
+    def augment(root):
+        # layered walk from a free x: ``path`` holds (x, untried neighbors)
+        # frames and ``ys[t]`` the y leading on from path[t]; a dead end
+        # leaves its layer, a free y flips every pair along the path
+        path = [(root, iter(g.neighbors_x(root)))]
+        ys = []
+        while path:
+            i, neighbors = path[-1]
+            for j in neighbors:
+                nxt = match_y[j]
+                if nxt == 0 or dist[nxt] == dist[i] + 1:
+                    break
+            else:
+                dist[i] = INF
+                path.pop()
+                if ys:
+                    ys.pop()
+                continue
+            ys.append(j)
+            if nxt == 0:
+                for (i, _), j in zip(path, ys):
+                    match_x[i] = j
+                    match_y[j] = i
+                return
+            path.append((nxt, iter(g.neighbors_x(nxt))))
 
     while bfs():
         for i in range(1, n + 1):
             if match_x[i] == 0:
-                dfs(i)
+                augment(i)
     return Matching(frozenset((i, match_x[i]) for i in range(1, n + 1) if match_x[i]))
 
 
@@ -393,23 +411,29 @@ def _iter_perfect_matchings(g: BipartiteGraph, budget):
     n = g.n
     if any(g.degree_x(i) == 0 or g.degree_y(i) == 0 for i in range(1, n + 1)):
         return
-    used = bytearray(n + 1)
+    used = 0  # bit j set while y_j is taken
     chosen = []
-
-    def assign(i):
-        if i > n:
+    # candidates[i - 1] iterates the partners still to try for x_i
+    candidates = [iter(g.neighbors_x(1))]
+    while candidates:
+        for j in candidates[-1]:
+            if not used >> j & 1:
+                break
+        else:
+            candidates.pop()
+            if chosen:
+                used ^= 1 << chosen.pop()[1]
+            continue
+        i = len(candidates)
+        used |= 1 << j
+        chosen.append((i, j))
+        budget.spend()
+        if i < n:
+            candidates.append(iter(g.neighbors_x(i + 1)))
+        else:
             yield frozenset(chosen)
-            return
-        for j in g.neighbors_x(i):
-            if not used[j]:
-                used[j] = 1
-                chosen.append((i, j))
-                budget.spend()
-                yield from assign(i + 1)
-                chosen.pop()
-                used[j] = 0
-
-    yield from assign(1)
+            chosen.pop()
+            used ^= 1 << j
 
 
 def enumerate_perfect_matchings(g: BipartiteGraph, budget=None):
@@ -481,46 +505,26 @@ def find_two_disjoint_perfect_matchings(g: BipartiteGraph, budget=None) -> Disjo
 def extends_to_hamiltonian(g: BipartiteGraph, m: Matching, budget=None) -> bool:
     """True when some Hamiltonian cycle of ``g`` uses every pair of ``m``.
 
-    A Hamiltonian cycle through a perfect matching m is exactly m plus a
-    second, edge-disjoint perfect matching whose union with m is a single
-    cycle; the search enumerates candidates for the second matching and
-    checks that the composed successor map is one n-cycle.  Raises
-    ``GraphError`` for a non-perfect or invalid matching and
-    ``BudgetExhausted`` when the node budget runs out.
+    Decided on the Z-mapping preimage of ``g`` with ``m`` contracted: the
+    digraph D_m on 1..n has an arc i -> k for each edge (x_i, y_j) of ``g``
+    outside ``m``, where x_k is the partner of y_j in ``m``.  A Hamiltonian
+    cycle of ``g`` through ``m`` alternates ``m`` edges and other edges, so
+    it reads x_i, y_j, x_k, ... with (x_k, y_j) in ``m``; contracting each
+    ``m`` edge turns it into a directed Hamiltonian cycle i -> k -> ... of
+    D_m, and expanding each vertex k of such a cycle back into x_k and its
+    partner turns it into one of ``g``.  D_m is loopless, as (x_i, y_j)
+    outside ``m`` means y_j is not x_i's partner.
+
+    ``budget`` counts cycle-search nodes on D_m, the unit of every
+    ``find_hamiltonian_cycle*`` budget.  Raises ``GraphError`` for a
+    non-perfect or invalid matching and ``BudgetExhausted`` when the node
+    budget runs out.
     """
     if not isinstance(m, Matching) or not m.is_perfect(g):
         raise GraphError("not a perfect matching of the graph")
-    n = g.n
-    if n == 1:
-        return False
-    b = _Budget(budget)
-    partner = {i: j for i, j in m.pairs}
-    used = bytearray(n + 1)
-    chosen_y_of_x = [0] * (n + 1)
-
-    def single_cycle():
-        x_of_y = [0] * (n + 1)
-        for i in range(1, n + 1):
-            x_of_y[chosen_y_of_x[i]] = i
-        seen = 1
-        v = x_of_y[partner[1]]
-        while v != 1:
-            seen += 1
-            v = x_of_y[partner[v]]
-        return seen == n
-
-    def assign(i):
-        if i > n:
-            return single_cycle()
-        for j in g.neighbors_x(i):
-            if not used[j] and partner[i] != j:
-                used[j] = 1
-                chosen_y_of_x[i] = j
-                b.spend()
-                if assign(i + 1):
-                    return True
-                used[j] = 0
-        chosen_y_of_x[i] = 0
-        return False
-
-    return assign(1)
+    x_of_y = {j: i for i, j in m.pairs}
+    d_m = Digraph(g.n, frozenset((i, x_of_y[j]) for i, j in g.edges - m.pairs))
+    result = _find_cycle(d_m, _digraph_viable, budget)
+    if result.exhausted:
+        raise BudgetExhausted
+    return result.found

@@ -207,3 +207,83 @@ def search_cycle_reference(n, start, neighbors, budget):
                 visited[w] = 0
 
     yield from extend(start)
+
+
+# ---------------------------------------------------------------------------
+# Reference matching kernels
+
+
+def perfect_matchings_reference(g: BipartiteGraph, budget):
+    """The recursive enumeration that ``solvers._iter_perfect_matchings`` must
+    match: same matchings in the same order, the same budget charges.
+
+    Tries partners of x1, x2, ... in ascending order, spending one budget
+    node per tentative pair.  Recursion depth grows with n, so it serves
+    small instances only.
+    """
+    n = g.n
+    if any(g.degree_x(i) == 0 or g.degree_y(i) == 0 for i in range(1, n + 1)):
+        return
+    used = bytearray(n + 1)
+    chosen = []
+
+    def assign(i):
+        if i > n:
+            yield frozenset(chosen)
+            return
+        for j in g.neighbors_x(i):
+            if not used[j]:
+                used[j] = 1
+                chosen.append((i, j))
+                budget.spend()
+                yield from assign(i + 1)
+                chosen.pop()
+                used[j] = 0
+
+    yield from assign(1)
+
+
+def max_matching_reference(g: BipartiteGraph):
+    """Recursive Hopcroft-Karp that ``solvers.max_matching`` must match pair
+    for pair: free x vertices and adjacency scanned ascending, a dead end
+    leaves its layer.  Returns the matched (x, y) pairs as a frozenset."""
+    n = g.n
+    inf = n + 1
+    match_x = [0] * (n + 1)
+    match_y = [0] * (n + 1)
+    dist = [0] * (n + 1)
+
+    def bfs():
+        queue = []
+        for i in range(1, n + 1):
+            if match_x[i] == 0:
+                dist[i] = 0
+                queue.append(i)
+            else:
+                dist[i] = inf
+        found_free = False
+        for i in queue:
+            for j in g.neighbors_x(i):
+                nxt = match_y[j]
+                if nxt == 0:
+                    found_free = True
+                elif dist[nxt] == inf:
+                    dist[nxt] = dist[i] + 1
+                    queue.append(nxt)
+        return found_free
+
+    def dfs(i):
+        for j in g.neighbors_x(i):
+            nxt = match_y[j]
+            if nxt == 0 or (dist[nxt] == dist[i] + 1 and dfs(nxt)):
+                match_x[i] = j
+                match_y[j] = i
+                return True
+        dist[i] = inf
+        return False
+
+    while bfs():
+        for i in range(1, n + 1):
+            if match_x[i] == 0:
+                dfs(i)
+    return frozenset((i, match_x[i]) for i in range(1, n + 1) if match_x[i])

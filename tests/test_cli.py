@@ -177,6 +177,29 @@ class TestSolverCommands:
         assert not set(map(tuple, payload["first"])) & set(map(tuple, payload["second"]))
         _validate(payload, "pm2")
 
+    def test_pm2_on_a_long_cycle_needs_no_recursion(self, tmp_path, capsys):
+        # the 6,000-cycle x_i ~ y_i, y_(i+1): exactly two perfect matchings
+        n = 3000
+        path = tmp_path / "b6000.txt"
+        lines = [f"{i} {i}\n{i} {i % n + 1}\n" for i in range(1, n + 1)]
+        path.write_text(f"B {n}\n" + "".join(lines))
+        assert main(["pm2", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["found"] is True and payload["nodes_explored"] == n
+        assert payload["first"] == [[i, i] for i in range(1, n + 1)]
+        assert sorted(payload["second"]) == [[i, i % n + 1] for i in range(1, n + 1)]
+
+    def test_match_on_a_long_augmenting_path_needs_no_recursion(self, tmp_path, capsys):
+        # x_i ~ y_i, y_(i+1) for i < n and x_n ~ y_1: the last phase augments
+        # along one path of 2n - 1 edges
+        n = 3000
+        lines = [f"{i} {i}\n{i} {i + 1}\n" for i in range(1, n)] + [f"{n} 1\n"]
+        path = tmp_path / "long_path.txt"
+        path.write_text(f"B {n}\n" + "".join(lines))
+        assert main(["match", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["size"] == n and payload["perfect"] is True
+
     def test_pushforward_triangle(self, c3_file, capsys):
         assert main(["pushforward", c3_file]) == 0
         out = capsys.readouterr().out

@@ -38,6 +38,8 @@ from brute import (
     brute_two_disjoint_pms,
     digraphs,
     graphs,
+    max_matching_reference,
+    perfect_matchings_reference,
     search_cycle_reference,
 )
 
@@ -196,6 +198,30 @@ class TestMaxMatching:
         for g in enumerate_bipartite(2):
             assert max_matching(g).is_matching_of(g)
 
+    def test_dead_ends_are_walked_once_per_phase(self):
+        # after the first phase x_1..x_2k sit in k layers of two, each x
+        # adjacent to both y's of the next layer, the last layer a dead end;
+        # the free root x_n reaches layer 1 first and the free y_n last, so
+        # a walk that forgot its dead ends would follow all 2^k layer paths
+        k = 12
+        n = 2 * k + 2
+        edges = {(i, i) for i in range(1, n)} | {(n - 1, n), (n, 1), (n, 2), (n, n - 1)}
+        for t in range(1, k):
+            edges |= {(x, y) for x in (2 * t - 1, 2 * t) for y in (2 * t + 1, 2 * t + 2)}
+        g = BipartiteGraph(n, frozenset(edges))
+        scans = []
+
+        class Counting:
+            def __init__(self):
+                self.n = n
+
+            def neighbors_x(self, i):
+                scans.append(i)
+                return g.neighbors_x(i)
+
+        assert max_matching(Counting()).is_perfect(g)
+        assert len(scans) <= 4 * n  # two phases, each x scanned once per BFS and walk
+
 
 class TestHasPerfectMatching:
     def test_one_regular(self):
@@ -268,6 +294,31 @@ class TestExtendsToHamiltonian:
             for pairs in brute_perfect_matchings(g):
                 got = extends_to_hamiltonian(g, Matching(pairs))
                 assert got == brute_extends(g, pairs)
+
+    @given(st.data())
+    def test_agrees_with_oracle_up_to_five(self, data):
+        n = data.draw(st.integers(1, 5))
+        partner = data.draw(st.permutations(range(1, n + 1)))
+        pairs = frozenset(zip(range(1, n + 1), partner))
+        rest = data.draw(bipartite_graphs(min_n=n, max_n=n))
+        g = BipartiteGraph(n, rest.edges | pairs)
+        assert extends_to_hamiltonian(g, Matching(pairs)) == brute_extends(g, pairs)
+
+    def test_budget_counts_cycle_search_nodes_on_the_contraction(self):
+        g = zmap(_complete_digraph(4))
+        m = next(enumerate_perfect_matchings(g))
+        x_of_y = {j: i for i, j in m.pairs}
+        d_m = build_digraph(4, [(i, x_of_y[j]) for i, j in g.edges - m.pairs])
+        full = find_hamiltonian_cycle(d_m)
+        assert full.found and full.nodes_explored > 1
+        for limit in range(1, full.nodes_explored + 1):
+            if find_hamiltonian_cycle(d_m, budget=limit).exhausted:
+                with pytest.raises(solvers.BudgetExhausted):
+                    extends_to_hamiltonian(g, m, budget=limit)
+            else:
+                assert extends_to_hamiltonian(g, m, budget=limit)
+        with pytest.raises(solvers.BudgetExhausted):
+            extends_to_hamiltonian(g, m, budget=1)
 
 
 class TestBudget:
@@ -432,3 +483,66 @@ class TestCycleKernelMatchesReference:
         assert got[0].found and got[-1] == got[0] and got[-2].exhausted
         monkeypatch.setattr(solvers, "_search_cycle", _reference_on_masks)
         assert got == [find_two_disjoint_hamiltonian_cycles(d, limit) for limit in limits]
+
+
+def _run_matchings(kernel, g, limit):
+    """The perfect matchings a kernel yields, in order, the nodes it spent,
+    and whether it ran out of budget."""
+    budget = solvers._Budget(limit)
+    matchings = []
+    try:
+        for pairs in kernel(g, budget):
+            matchings.append(pairs)
+    except solvers.BudgetExhausted:
+        return matchings, budget.spent, True
+    return matchings, budget.spent, False
+
+
+def _bipartite_cycle(n, closing=True):
+    """x_i ~ y_i and y_(i+1); with ``closing`` false, x_n ~ y_1 only, which
+    leaves Hopcroft-Karp one augmenting path of 2n - 1 edges."""
+    edges = {(i, i) for i in range(1, n)} | {(i, i + 1) for i in range(1, n)}
+    edges |= {(n, n), (n, 1)} if closing else {(n, 1)}
+    return BipartiteGraph(n, frozenset(edges))
+
+
+class TestMatchingKernelsMatchReference:
+    """The explicit-stack enumerator and Hopcroft-Karp give the recursive
+    walks' matchings, in their order, with the same node spend."""
+
+    @staticmethod
+    def _check(g, limit):
+        got = _run_matchings(solvers._iter_perfect_matchings, g, limit)
+        assert got == _run_matchings(perfect_matchings_reference, g, limit)
+        assert max_matching(g).pairs == max_matching_reference(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_graph(self, n):
+        for g in enumerate_bipartite(n):
+            for limit in (None, 1, 5, 50):
+                self._check(g, limit)
+
+    @given(bipartite_graphs(max_n=6), BUDGETS)
+    def test_random_graphs(self, g, limit):
+        self._check(g, limit)
+
+    def test_disjoint_pair_matches_the_reference_procedure(self, monkeypatch):
+        hosts = list(enumerate_bipartite(3)) + [Z_K3, zmap(_complete_digraph(4))]
+        limits = (None, 1, 5, 50)
+        got = [find_two_disjoint_perfect_matchings(g, limit) for g in hosts for limit in limits]
+        monkeypatch.setattr(solvers, "_iter_perfect_matchings", perfect_matchings_reference)
+        monkeypatch.setattr(solvers, "max_matching", lambda g: Matching(max_matching_reference(g)))
+        assert got == [
+            find_two_disjoint_perfect_matchings(g, limit) for g in hosts for limit in limits
+        ]
+
+    def test_long_cycle_needs_no_recursion(self):
+        n = 3000
+        g = _bipartite_cycle(n)
+        first = next(enumerate_perfect_matchings(g))
+        assert first.pairs == frozenset((i, i) for i in range(1, n + 1))
+
+    def test_long_augmenting_path_needs_no_recursion(self):
+        n = 3000
+        g = _bipartite_cycle(n, closing=False)
+        assert max_matching(g).pairs == frozenset((i, i % n + 1) for i in range(1, n + 1))
