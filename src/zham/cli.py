@@ -5,8 +5,8 @@ pullback, pushforward, verify.  Machine output is JSON with sorted keys;
 exit codes carry the pass/fail semantics:
 
     0  decided (regardless of the boolean outcome)
-    2  parse error or bad flags
-    3  validation error
+    2  parse error (a file that is not UTF-8 included) or bad flags
+    3  validation error (a header size above ``fileio.MAX_HEADER_N`` included)
     4  search budget exhausted
     5  an established claim produced a counterexample (verify only)
     6  store or output I/O failure
@@ -271,10 +271,11 @@ def _cmd_verify(args):
         n_values=n_values,
         budget=budget,
     )
+    text = report_json(report) if args.report or args.format == "json" else None
     if args.report:
-        _write_text(args.report, report_json(report))
+        _write_text(args.report, text)
     if args.format == "json":
-        sys.stdout.write(report_json(report))
+        sys.stdout.write(text)
     else:
         sys.stdout.write(render_table(verdicts))
     if established_failures(verdicts):

@@ -9,13 +9,20 @@ are exact integer arithmetic — fractional bounds like n/2 are evaluated as
 require a minimum size (n > 2 for most digraph/graph forms, part size >= 2
 for the bipartite forms) report ``hypothesis_holds=False`` with note
 "n too small" below it.
+
+A hypothesis is decided before it is explained.  Each predicate describes
+its violators as one sequence in a fixed order, decides
+``hypothesis_holds`` from the sequence's first item alone, and lists the
+whole sequence only when ``violating_items`` is first read.  Degrees come
+from one table per instance, memoised on it like strong connectivity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 
-from .core import BipartiteGraph, Digraph, Graph, GraphError, format_bipartite_vertex
+from .core import BipartiteGraph, Digraph, Graph, GraphError
 from .solvers import strongly_connected
 
 CONDITION_IDS = (
@@ -36,24 +43,80 @@ CONDITION_IDS = (
 NOT_STRONG = {"reason": "not strongly connected"}
 
 
-@dataclass(frozen=True)
 class ConditionReport:
     """Outcome of one hypothesis check.
 
     ``violating_items`` holds JSON-ready dicts describing every witness
-    against the hypothesis; it is empty exactly when the hypothesis holds.
+    against the hypothesis, in a fixed order; it is empty exactly when the
+    hypothesis holds.  A report built by a predicate lists its violators
+    only when ``violating_items`` is first read, directly or through
+    ``to_dict()``, ``==`` or ``repr``: the listing re-runs the predicate's
+    violator sequence from the start, so reading twice, or from two threads
+    at once, gives equal tuples.  Reports are immutable: every public field
+    is a read-only property.
     """
 
-    condition_id: str
-    hypothesis_holds: bool
-    violating_items: tuple = ()
-    parameters: dict = field(default_factory=dict)
-    note: str = ""
+    __slots__ = ("_condition_id", "_holds", "_parameters", "_note", "_items", "_violators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "violating_items", tuple(self.violating_items))
-        if self.hypothesis_holds != (len(self.violating_items) == 0):
+    condition_id = property(attrgetter("_condition_id"))
+    hypothesis_holds = property(attrgetter("_holds"))
+    parameters = property(attrgetter("_parameters"))
+    note = property(attrgetter("_note"))
+
+    def __init__(self, condition_id, hypothesis_holds, violating_items=(), parameters=None, note=""):
+        items = tuple(violating_items)
+        if hypothesis_holds != (len(items) == 0):
             raise GraphError("hypothesis_holds must match emptiness of violating_items")
+        self._condition_id, self._holds, self._note = condition_id, hypothesis_holds, note
+        self._parameters = {} if parameters is None else parameters
+        self._items, self._violators = items, None
+
+    @classmethod
+    def _decide(cls, condition_id, violators, parameters, note=""):
+        """The report whose hypothesis holds when ``violators()``, a fresh
+        iterator over the violators in order, yields nothing."""
+        holds = next(violators(), None) is None
+        report = cls.__new__(cls)
+        report._condition_id, report._holds, report._note = condition_id, holds, note
+        report._parameters = parameters
+        report._items = () if holds else None  # None: not listed yet
+        report._violators = violators
+        return report
+
+    @property
+    def violating_items(self):
+        items = self._items
+        if items is None:
+            items = tuple(self._violators())
+            self._items = items
+        return items
+
+    def _fields(self):
+        return (
+            self.condition_id,
+            self.hypothesis_holds,
+            self.violating_items,
+            self.parameters,
+            self.note,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # parameters is a dict
+
+    def __repr__(self):
+        return (
+            f"ConditionReport(condition_id={self.condition_id!r}, "
+            f"hypothesis_holds={self.hypothesis_holds!r}, "
+            f"violating_items={self.violating_items!r}, "
+            f"parameters={self.parameters!r}, note={self.note!r})"
+        )
+
+    def __reduce__(self):
+        return ConditionReport, self._fields()
 
     def to_dict(self):
         return {
@@ -65,9 +128,48 @@ class ConditionReport:
         }
 
 
-def _report(condition_id, items, parameters, note=""):
-    items = tuple(items)
-    return ConditionReport(condition_id, not items, items, parameters, note)
+def _degrees(instance):
+    """The degree table of ``instance``, memoised on it: the vertex labels and
+    degrees in ``vertices()`` order ("x1".."xn", "y1".."yn" for a bipartite
+    graph), plus a digraph's out- and in-degrees in the same order."""
+    table = instance._memo.get("degrees")
+    if table is None:
+        if isinstance(instance, BipartiteGraph):
+            parts = range(1, instance.n + 1)
+            labels = tuple([f"x{i}" for i in parts] + [f"y{j}" for j in parts])
+            degrees = tuple(map(len, instance._adj_x[1:] + instance._adj_y[1:]))
+            table = (labels, degrees)
+        elif isinstance(instance, Digraph):
+            outs = tuple(map(len, instance._succ[1:]))
+            ins = tuple(map(len, instance._pred[1:]))
+            table = (instance.vertices(), tuple(map(int.__add__, outs, ins)), outs, ins)
+        else:
+            table = (instance.vertices(), tuple(map(len, instance._adj[1:])))
+        instance._memo["degrees"] = table
+    return table
+
+
+def _low_vertices(labels, degrees, scale, bound):
+    """Violator sequence: ``{"vertex", "degree"}`` items of the vertices with
+    ``scale * degree < bound``."""
+    for v, d in zip(labels, degrees):
+        if scale * d < bound:
+            yield {"vertex": v, "degree": d}
+
+
+def _no_violators():
+    return iter(())
+
+
+def _strong_then(strong, violators):
+    """Violator sequence: ``NOT_STRONG`` unless ``strong``, then ``violators()``."""
+
+    def chained():
+        if not strong:
+            yield NOT_STRONG
+        yield from violators()
+
+    return chained
 
 
 def _too_small(condition_id, n, minimum):
@@ -82,94 +184,99 @@ def _too_small(condition_id, n, minimum):
 
 def dirac(g: Graph) -> ConditionReport:
     """Every vertex satisfies 2*d(u) >= n (graphs with n > 2)."""
-    if g.n <= 2:
-        return _too_small("dirac", g.n, 3)
-    bad = [
-        {"vertex": v, "degree": g.degree(v)} for v in g.vertices() if 2 * g.degree(v) < g.n
-    ]
-    return _report("dirac", bad, {"n": g.n})
+    n = g.n
+    if n <= 2:
+        return _too_small("dirac", n, 3)
+    labels, degrees = _degrees(g)
+    return ConditionReport._decide("dirac", partial(_low_vertices, labels, degrees, 2, n), {"n": n})
 
 
 def ghouila_houri(d: Digraph) -> ConditionReport:
     """Strongly connected and every vertex satisfies d(u) >= n (n > 2)."""
-    if d.n <= 2:
-        return _too_small("ghouila-houri", d.n, 3)
-    bad = []
-    if not strongly_connected(d):
-        bad.append(NOT_STRONG)
-    bad += [{"vertex": v, "degree": d.degree(v)} for v in d.vertices() if d.degree(v) < d.n]
-    return _report("ghouila-houri", bad, {"n": d.n})
+    n = d.n
+    if n <= 2:
+        return _too_small("ghouila-houri", n, 3)
+    labels, degrees, _, _ = _degrees(d)
+    violators = _strong_then(strongly_connected(d), partial(_low_vertices, labels, degrees, 1, n))
+    return ConditionReport._decide("ghouila-houri", violators, {"n": n})
 
 
 def faudree(g: Graph) -> ConditionReport:
     """At most k-1 vertices of degree strictly below n/2, k the minimum degree."""
-    if g.n <= 2:
-        return _too_small("faudree", g.n, 3)
-    k = min(g.degree(v) for v in g.vertices())
-    small = [v for v in g.vertices() if 2 * g.degree(v) < g.n]
-    params = {"n": g.n, "k": k, "s_size": len(small)}
-    if len(small) <= k - 1:
-        return _report("faudree", (), params)
-    bad = [{"vertex": v, "degree": g.degree(v)} for v in small]
-    return _report("faudree", bad, params)
+    n = g.n
+    if n <= 2:
+        return _too_small("faudree", n, 3)
+    labels, degrees = _degrees(g)
+    k = min(degrees)
+    s_size = len([d for d in degrees if 2 * d < n])
+    violators = _no_violators
+    if s_size > k - 1:
+        violators = partial(_low_vertices, labels, degrees, 2, n)
+    return ConditionReport._decide("faudree", violators, {"n": n, "k": k, "s_size": s_size})
 
 
 def zhu_digraph(d: Digraph) -> ConditionReport:
     """Digraph analogue of the low-degree-count test: strongly connected and
     at most k-1 vertices of total degree below n, k the minimum total degree."""
-    if d.n <= 2:
-        return _too_small("zhu", d.n, 3)
-    k = min(d.degree(v) for v in d.vertices())
-    small = [v for v in d.vertices() if d.degree(v) < d.n]
-    params = {"n": d.n, "k": k, "s_size": len(small)}
-    bad = []
-    if not strongly_connected(d):
-        bad.append(NOT_STRONG)
-    if len(small) > k - 1:
-        bad += [{"vertex": v, "degree": d.degree(v)} for v in small]
-    return _report("zhu", bad, params)
+    n = d.n
+    if n <= 2:
+        return _too_small("zhu", n, 3)
+    labels, degrees, _, _ = _degrees(d)
+    k = min(degrees)
+    s_size = len([t for t in degrees if t < n])
+    small = _no_violators
+    if s_size > k - 1:
+        small = partial(_low_vertices, labels, degrees, 1, n)
+    violators = _strong_then(strongly_connected(d), small)
+    return ConditionReport._decide("zhu", violators, {"n": n, "k": k, "s_size": s_size})
 
 
 def moon_moser_k(g: BipartiteGraph, k: int) -> ConditionReport:
     """Fewer than n vertices (both parts pooled) of degree below k, 1 < k < n."""
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 < k < g.n:
-        raise GraphError(f"k must satisfy 1 < k < n, got k={k!r} with n={g.n}")
-    small = [v for v in g.vertices() if g.degree(v) < k]
-    params = {"n": g.n, "k": k, "s_size": len(small)}
-    note = "low-degree set drawn from both parts"
-    if len(small) < g.n:
-        return _report("moon-moser-k", (), params, note)
-    bad = [
-        {"vertex": format_bipartite_vertex(v), "degree": g.degree(v)} for v in small
-    ]
-    return _report("moon-moser-k", bad, params, note)
+    n = g.n
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 < k < n:
+        raise GraphError(f"k must satisfy 1 < k < n, got k={k!r} with n={n}")
+    labels, degrees = _degrees(g)
+    s_size = len([d for d in degrees if d < k])
+    violators = _no_violators
+    if s_size >= n:
+        violators = partial(_low_vertices, labels, degrees, 1, k)
+    return ConditionReport._decide(
+        "moon-moser-k",
+        violators,
+        {"n": n, "k": k, "s_size": s_size},
+        "low-degree set drawn from both parts",
+    )
 
 
 def moon_moser_half(g: BipartiteGraph) -> ConditionReport:
     """Every vertex of both parts satisfies 2*d(u) > n (part size >= 2)."""
-    if g.n < 2:
-        return _too_small("moon-moser-half", g.n, 2)
-    bad = [
-        {"vertex": format_bipartite_vertex(v), "degree": g.degree(v)}
-        for v in g.vertices()
-        if 2 * g.degree(v) <= g.n
-    ]
-    return _report("moon-moser-half", bad, {"n": g.n})
+    n = g.n
+    if n < 2:
+        return _too_small("moon-moser-half", n, 2)
+    labels, degrees = _degrees(g)
+    violators = partial(_low_vertices, labels, degrees, 2, n + 1)
+    return ConditionReport._decide("moon-moser-half", violators, {"n": n})
 
 
 def disjoint_hc_degree(d: Digraph) -> ConditionReport:
     """Strongly connected and 2*d+(u) > n and 2*d-(u) > n for every vertex."""
-    if d.n <= 2:
-        return _too_small("cor1-disjoint-hc", d.n, 3)
-    bad = []
-    if not strongly_connected(d):
-        bad.append(NOT_STRONG)
-    bad += [
-        {"vertex": v, "out_degree": d.out_degree(v), "in_degree": d.in_degree(v)}
-        for v in d.vertices()
-        if 2 * d.out_degree(v) <= d.n or 2 * d.in_degree(v) <= d.n
-    ]
-    return _report("cor1-disjoint-hc", bad, {"n": d.n}, note="disjoint = arc-disjoint")
+    n = d.n
+    if n <= 2:
+        return _too_small("cor1-disjoint-hc", n, 3)
+    labels, _, outs, ins = _degrees(d)
+
+    def low_vertices():
+        for v, out, in_ in zip(labels, outs, ins):
+            if 2 * out <= n or 2 * in_ <= n:
+                yield {"vertex": v, "out_degree": out, "in_degree": in_}
+
+    return ConditionReport._decide(
+        "cor1-disjoint-hc",
+        _strong_then(strongly_connected(d), low_vertices),
+        {"n": n},
+        note="disjoint = arc-disjoint",
+    )
 
 
 def las_vergnas(g: BipartiteGraph) -> ConditionReport:
@@ -179,8 +286,9 @@ def las_vergnas(g: BipartiteGraph) -> ConditionReport:
     """
     if g.n < 2:
         return _too_small("las-vergnas", g.n, 2)
-    bad = _cross_pair_deficits(g, g.n + 2)
-    return _report("las-vergnas", bad, {"n": g.n})
+    return ConditionReport._decide(
+        "las-vergnas", _cross_pair_deficits(g, g.n + 2), {"n": g.n}
+    )
 
 
 def woodall(d: Digraph) -> ConditionReport:
@@ -188,11 +296,8 @@ def woodall(d: Digraph) -> ConditionReport:
     pair u != v.  Vacuously true for the complete digraph."""
     if d.n <= 2:
         return _too_small("woodall", d.n, 3)
-    bad = []
-    if not strongly_connected(d):
-        bad.append(NOT_STRONG)
-    bad += _pair_deficits(d, d.n)
-    return _report("woodall", bad, {"n": d.n})
+    violators = _strong_then(strongly_connected(d), _pair_deficits(d, d.n))
+    return ConditionReport._decide("woodall", violators, {"n": d.n})
 
 
 def woodall_plus2(d: Digraph) -> ConditionReport:
@@ -200,25 +305,28 @@ def woodall_plus2(d: Digraph) -> ConditionReport:
     (the strengthened statement has none)."""
     if d.n <= 2:
         return _too_small("cor2-woodall-plus2", d.n, 3)
-    bad = _pair_deficits(d, d.n + 2)
-    return _report(
-        "cor2-woodall-plus2", bad, {"n": d.n}, note="disjoint = arc-disjoint"
+    return ConditionReport._decide(
+        "cor2-woodall-plus2",
+        _pair_deficits(d, d.n + 2),
+        {"n": d.n},
+        note="disjoint = arc-disjoint",
     )
 
 
 def _pair_deficits(d, threshold):
-    """Ordered non-arc pairs u != v with d+(u) + d-(v) below ``threshold``."""
-    vertices = d.vertices()
-    in_degree = [0] + [d.in_degree(v) for v in vertices]
-    out = []
-    for u in vertices:
-        du = d.out_degree(u)
-        succ = d.successors(u)
-        for v in vertices:
-            total = du + in_degree[v]
-            if total < threshold and u != v and v not in succ:
-                out.append({"pair": [u, v], "degree_sum": total})
-    return out
+    """Violator sequence: ordered non-arc pairs u != v with d+(u) + d-(v)
+    below ``threshold``."""
+    vertices, _, outs, ins = _degrees(d)
+
+    def violators():
+        for u, out in zip(vertices, outs):
+            successors = d.successors(u)
+            for v, in_ in zip(vertices, ins):
+                total = out + in_
+                if total < threshold and u != v and v not in successors:
+                    yield {"pair": [u, v], "degree_sum": total}
+
+    return violators
 
 
 def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
@@ -237,20 +345,26 @@ def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
         raise GraphError(f"threshold must be n or n+2, got {threshold!r} with n={g.n}")
     if g.n < 2:
         return _too_small(condition_id, g.n, 2)
-    bad = _cross_pair_deficits(g, threshold)
-    return _report(condition_id, bad, {"n": g.n, "threshold": threshold}, note)
+    return ConditionReport._decide(
+        condition_id,
+        _cross_pair_deficits(g, threshold),
+        {"n": g.n, "threshold": threshold},
+        note,
+    )
 
 
 def _cross_pair_deficits(g, threshold):
-    """Non-adjacent cross pairs (x_i, y_j) with d(x_i) + d(y_j) below ``threshold``."""
-    parts = range(1, g.n + 1)
-    y_degree = [0] + [g.degree_y(j) for j in parts]
-    out = []
-    for i in parts:
-        di = g.degree_x(i)
-        neighbors = g.neighbors_x(i)
-        for j in parts:
-            total = di + y_degree[j]
-            if total < threshold and j not in neighbors:
-                out.append({"pair": [f"x{i}", f"y{j}"], "degree_sum": total})
-    return out
+    """Violator sequence: non-adjacent cross pairs (x_i, y_j) with
+    d(x_i) + d(y_j) below ``threshold``."""
+    n = g.n
+    labels, degrees = _degrees(g)
+
+    def violators():
+        for i, x_degree in enumerate(degrees[:n], 1):
+            neighbors = g.neighbors_x(i)
+            for j, y_degree in enumerate(degrees[n:], 1):
+                total = x_degree + y_degree
+                if total < threshold and j not in neighbors:
+                    yield {"pair": [labels[i - 1], labels[n + j - 1]], "degree_sum": total}
+
+    return violators

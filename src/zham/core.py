@@ -7,9 +7,9 @@ All types are immutable after construction and validate their invariants in
 1-based integers; bipartite vertices are ``("x", i)`` / ``("y", j)`` tags.
 
 ``Digraph``, ``Graph`` and ``BipartiteGraph`` carry a private ``_memo`` dict
-that the solvers and the Z-mapping fill with facts derived deterministically
-from the value (strong connectivity, a cycle search per node budget, the
-bipartite image).  It never takes part in equality, hashing or ``repr``, and
+that the solvers, the Z-mapping and the condition predicates fill with facts
+derived deterministically from the value (strong connectivity, a cycle
+search per node budget, the bipartite image, the degree table).  It never takes part in equality, hashing or ``repr``, and
 it lives exactly as long as the instance, so the value stays immutable.  It
 is safe to share between threads: a race at worst computes an equal result
 twice.

@@ -6,6 +6,9 @@ following non-comment line is ``u v`` — an arc u->v for D, the edge x_u—y_v
 for B, the edge u—v for G.  ``#`` starts a comment line, indices are 1-based,
 encoding is UTF-8 with LF line endings.  Serialization always emits edges in
 ascending order, so parse-serialize is a normalizing round trip.
+
+A header larger than ``MAX_HEADER_N`` is refused with ``GraphError`` before
+anything is sized by it, and a file that is not UTF-8 is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .core import (
 )
 
 _HEADER_KINDS = {"D": Digraph, "B": BipartiteGraph, "G": Graph}
+
+# largest header n accepted (vertices, or part size for B); building the
+# per-vertex tables of a larger graph could exhaust memory before any arc is read
+MAX_HEADER_N = 10**6
 
 
 class ParseError(ValueError):
@@ -45,7 +52,8 @@ def parse_graph_text(text: str):
     """Parse edge-list text into a Digraph, BipartiteGraph, or Graph.
 
     Raises ``ParseError`` for syntax problems and the core validation errors
-    (self-loop, out-of-range endpoint) with the offending line named.
+    (self-loop, out-of-range endpoint) with the offending line named; a
+    header n above ``MAX_HEADER_N`` raises ``GraphError``.
     """
     lines = _content_lines(text)
     try:
@@ -62,6 +70,8 @@ def parse_graph_text(text: str):
     except ValueError:
         raise ParseError(f"vertex count {fields[1]!r} is not an integer", header_no) from None
     kind = fields[0]
+    if n > MAX_HEADER_N:
+        raise GraphError(f"header size {n} exceeds the cap of {MAX_HEADER_N} at line {header_no}")
 
     pairs = []
     for line_no, line in lines:
@@ -85,7 +95,11 @@ def parse_graph_text(text: str):
 
 
 def parse_graph_file(path):
-    return parse_graph_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_graph_text(text)
 
 
 def serialize_graph(obj) -> str:

@@ -168,7 +168,10 @@ class Claim:
     """One hypothesis -> conclusion implication to test per instance.
 
     ``hypothesis`` and ``conclusion`` take (instance, budget) and return
-    (bool, json-ready details); either may raise BudgetExhausted.
+    (bool, json-ready details); either may raise BudgetExhausted.  Only a
+    hypothesis that holds is explained: the details of a miss are never
+    read, so a hypothesis may return ``None`` for them, and the condition
+    hypotheses do, without listing the condition's violators.
     """
 
     claim_id: str
@@ -209,9 +212,13 @@ def _decided(result):
 
 
 def _condition_hypothesis(fn):
+    """Hypothesis "condition ``fn`` holds"; only a hit is explained."""
+
     def hypothesis(instance, budget):
         report = fn(instance)
-        return report.hypothesis_holds, report.to_dict()
+        if not report.hypothesis_holds:
+            return False, None
+        return True, report.to_dict()
 
     return hypothesis
 
@@ -232,7 +239,7 @@ def _ham_conclusion(solver):
 
 def _thm_zg_hypothesis(d, budget):
     if not strongly_connected(d):
-        return False, {"strongly_connected": False}
+        return False, None
     result = _decided(find_hamiltonian_cycle_bipartite(zmap(d), budget))
     return result.found, {
         "strongly_connected": True,
@@ -477,15 +484,16 @@ def check_claim(claim: Claim, instance, budget=None):
     """Outcome of one claim on one instance.
 
     Returns (outcome, details) with outcome one of hypothesis-miss, pass,
-    counterexample, budget-exhausted.  Budget exhaustion at either stage is
-    an outcome, never an error.
+    counterexample, budget-exhausted.  A hypothesis miss carries no details
+    (``{}``): the hypothesis is decided, not explained.  Budget exhaustion at
+    either stage is an outcome, never an error.
     """
     try:
         holds, hyp_details = claim.hypothesis(instance, budget)
     except BudgetExhausted:
         return BUDGET_EXHAUSTED, {"stage": "hypothesis"}
     if not holds:
-        return HYPOTHESIS_MISS, {"hypothesis": hyp_details}
+        return HYPOTHESIS_MISS, {}
     try:
         concluded, concl_details = claim.conclusion(instance, budget)
     except BudgetExhausted:

@@ -9,6 +9,8 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from zham import BipartiteGraph, Digraph, Graph
+from zham.conditions import NOT_STRONG, ConditionReport
+from zham.core import format_bipartite_vertex
 from zham.verifier import arc_universe, bipartite_edge_universe, graph_edge_universe
 
 
@@ -287,3 +289,168 @@ def max_matching_reference(g: BipartiteGraph):
             if match_x[i] == 0:
                 dfs(i)
     return frozenset((i, match_x[i]) for i in range(1, n + 1) if match_x[i])
+
+
+# ---------------------------------------------------------------------------
+# Reference degree-condition predicates
+
+
+def strongly_connected_reference(d: Digraph) -> bool:
+    """Every vertex reaches every other, by a transitive closure."""
+    reach = {u: {u} | set(d.successors(u)) for u in d.vertices()}
+    for w in d.vertices():
+        for u in d.vertices():
+            if w in reach[u]:
+                reach[u] |= reach[w]
+    return all(len(reach[u]) == d.n for u in d.vertices())
+
+
+def _eager(condition_id, items, parameters, note=""):
+    items = tuple(items)
+    return ConditionReport(condition_id, not items, items, parameters, note)
+
+
+def _too_small(condition_id, n, minimum):
+    return ConditionReport(
+        condition_id,
+        False,
+        ({"reason": "n too small", "n": n, "minimum": minimum},),
+        {"n": n},
+        note="n too small",
+    )
+
+
+def dirac_reference(g: Graph):
+    if g.n <= 2:
+        return _too_small("dirac", g.n, 3)
+    bad = [
+        {"vertex": v, "degree": g.degree(v)} for v in g.vertices() if 2 * g.degree(v) < g.n
+    ]
+    return _eager("dirac", bad, {"n": g.n})
+
+
+def ghouila_houri_reference(d: Digraph):
+    if d.n <= 2:
+        return _too_small("ghouila-houri", d.n, 3)
+    bad = []
+    if not strongly_connected_reference(d):
+        bad.append(NOT_STRONG)
+    bad += [{"vertex": v, "degree": d.degree(v)} for v in d.vertices() if d.degree(v) < d.n]
+    return _eager("ghouila-houri", bad, {"n": d.n})
+
+
+def faudree_reference(g: Graph):
+    if g.n <= 2:
+        return _too_small("faudree", g.n, 3)
+    k = min(g.degree(v) for v in g.vertices())
+    small = [v for v in g.vertices() if 2 * g.degree(v) < g.n]
+    params = {"n": g.n, "k": k, "s_size": len(small)}
+    if len(small) <= k - 1:
+        return _eager("faudree", (), params)
+    bad = [{"vertex": v, "degree": g.degree(v)} for v in small]
+    return _eager("faudree", bad, params)
+
+
+def zhu_reference(d: Digraph):
+    if d.n <= 2:
+        return _too_small("zhu", d.n, 3)
+    k = min(d.degree(v) for v in d.vertices())
+    small = [v for v in d.vertices() if d.degree(v) < d.n]
+    params = {"n": d.n, "k": k, "s_size": len(small)}
+    bad = []
+    if not strongly_connected_reference(d):
+        bad.append(NOT_STRONG)
+    if len(small) > k - 1:
+        bad += [{"vertex": v, "degree": d.degree(v)} for v in small]
+    return _eager("zhu", bad, params)
+
+
+def moon_moser_k_reference(g: BipartiteGraph, k: int):
+    small = [v for v in g.vertices() if g.degree(v) < k]
+    params = {"n": g.n, "k": k, "s_size": len(small)}
+    note = "low-degree set drawn from both parts"
+    if len(small) < g.n:
+        return _eager("moon-moser-k", (), params, note)
+    bad = [
+        {"vertex": format_bipartite_vertex(v), "degree": g.degree(v)} for v in small
+    ]
+    return _eager("moon-moser-k", bad, params, note)
+
+
+def moon_moser_half_reference(g: BipartiteGraph):
+    if g.n < 2:
+        return _too_small("moon-moser-half", g.n, 2)
+    bad = [
+        {"vertex": format_bipartite_vertex(v), "degree": g.degree(v)}
+        for v in g.vertices()
+        if 2 * g.degree(v) <= g.n
+    ]
+    return _eager("moon-moser-half", bad, {"n": g.n})
+
+
+def disjoint_hc_degree_reference(d: Digraph):
+    if d.n <= 2:
+        return _too_small("cor1-disjoint-hc", d.n, 3)
+    bad = []
+    if not strongly_connected_reference(d):
+        bad.append(NOT_STRONG)
+    bad += [
+        {"vertex": v, "out_degree": d.out_degree(v), "in_degree": d.in_degree(v)}
+        for v in d.vertices()
+        if 2 * d.out_degree(v) <= d.n or 2 * d.in_degree(v) <= d.n
+    ]
+    return _eager("cor1-disjoint-hc", bad, {"n": d.n}, note="disjoint = arc-disjoint")
+
+
+def _pair_deficits_reference(d, threshold):
+    out = []
+    for u in d.vertices():
+        for v in d.vertices():
+            total = d.out_degree(u) + d.in_degree(v)
+            if u != v and not d.has_arc(u, v) and total < threshold:
+                out.append({"pair": [u, v], "degree_sum": total})
+    return out
+
+
+def _cross_pair_deficits_reference(g, threshold):
+    out = []
+    for i in range(1, g.n + 1):
+        for j in range(1, g.n + 1):
+            total = g.degree_x(i) + g.degree_y(j)
+            if not g.has_edge(i, j) and total < threshold:
+                out.append({"pair": [f"x{i}", f"y{j}"], "degree_sum": total})
+    return out
+
+
+def las_vergnas_reference(g: BipartiteGraph):
+    if g.n < 2:
+        return _too_small("las-vergnas", g.n, 2)
+    return _eager("las-vergnas", _cross_pair_deficits_reference(g, g.n + 2), {"n": g.n})
+
+
+def woodall_reference(d: Digraph):
+    if d.n <= 2:
+        return _too_small("woodall", d.n, 3)
+    bad = []
+    if not strongly_connected_reference(d):
+        bad.append(NOT_STRONG)
+    bad += _pair_deficits_reference(d, d.n)
+    return _eager("woodall", bad, {"n": d.n})
+
+
+def woodall_plus2_reference(d: Digraph):
+    if d.n <= 2:
+        return _too_small("cor2-woodall-plus2", d.n, 3)
+    bad = _pair_deficits_reference(d, d.n + 2)
+    return _eager("cor2-woodall-plus2", bad, {"n": d.n}, note="disjoint = arc-disjoint")
+
+
+def ore_bipartite_reference(g: BipartiteGraph, threshold: int):
+    if threshold == g.n:
+        condition_id, note = "cor3-ore-pm", ""
+    else:
+        condition_id, note = "cor3-ore-2pm", "disjoint = edge-disjoint"
+    if g.n < 2:
+        return _too_small(condition_id, g.n, 2)
+    bad = _cross_pair_deficits_reference(g, threshold)
+    return _eager(condition_id, bad, {"n": g.n, "threshold": threshold}, note)

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from zham import verifier
+from zham import GraphError, verifier
 from zham.cli import main
+from zham.fileio import MAX_HEADER_N, parse_graph_text
 from zham.verifier import CLAIMS, Claim
 
 C3_TEXT = "D 3\n1 2\n2 3\n3 1\n"
@@ -368,3 +373,108 @@ class TestVerifyCommand:
 
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2
+
+    def test_report_file_and_json_stdout_are_one_encoding(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = verifier.report_json
+
+        def counting(report):
+            calls.append(1)
+            return real(report)
+
+        monkeypatch.setattr("zham.cli.report_json", counting)
+        report = tmp_path / "report.json"
+        args = ["verify", "--n-max", "2", "--format", "json", "--report", str(report)]
+        assert main(args) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.encode() == report.read_bytes()
+
+
+class TestInputLimits:
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bom16.txt"
+        path.write_bytes(b"\xff\xfeD 3\n1 2\n")
+        assert main(["ham", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_header_above_cap_is_a_validation_error(self):
+        with pytest.raises(GraphError, match="cap"):
+            parse_graph_text(f"D {MAX_HEADER_N + 1}\n")
+
+    @pytest.mark.parametrize("kind", ["D", "B", "G"])
+    def test_header_above_cap_exits_3(self, kind, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{kind} {MAX_HEADER_N + 1}\n")
+        assert main(["ham" if kind == "D" else "conditions", str(path)]) == 3
+        assert "cap" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under fuzzed input
+
+FUZZ_MAX_N = 64
+FUZZ_COMMANDS = (
+    ["ham", "--budget", "5"],
+    ["bipham", "--budget", "5"],
+    ["gham", "--budget", "5"],
+    ["match"],
+    ["pm2", "--budget", "5"],
+    ["conditions"],
+    ["zmap"],
+    ["unzmap"],
+)
+
+
+def _header_n(data):
+    """The n of the header ``parse_graph_text`` would read, or None."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            fields = line.split()
+            try:
+                return int(fields[1]) if len(fields) == 2 else None
+            except ValueError:
+                return None
+    return None
+
+
+_junk = st.one_of(
+    st.sampled_from(["0 1", "1 99", "-1 2", "1", "1 2 3", "a b", "1 x", "D 3", "\x00"]),
+    st.text(max_size=8),
+)
+
+
+def _text_for(kind, n):
+    endpoint = st.integers(1, max(n, 1))
+    return st.builds(
+        lambda pairs, junk: "\n".join(
+            [f"{kind} {n}", "# comment", ""] + [f"{u} {v}" for u, v in pairs] + junk
+        ).encode(),
+        st.lists(st.tuples(endpoint, endpoint), max_size=16),
+        st.lists(_junk, max_size=1),
+    )
+
+
+_structured = st.tuples(st.sampled_from(["D", "B", "G", "X"]), st.integers(-1, 8)).flatmap(
+    lambda header: _text_for(*header)
+)
+
+
+@given(st.one_of(st.binary(max_size=64), _structured), st.sampled_from(FUZZ_COMMANDS))
+def test_any_input_exits_with_a_documented_code(data, command):
+    n = _header_n(data)
+    assume(n is None or n <= FUZZ_MAX_N)  # conditions lists O(n^2) pairs
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "input.txt"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:]])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    if code in (2, 3):
+        assert err.getvalue().startswith("error:")

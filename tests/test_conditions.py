@@ -19,8 +19,14 @@ from zham import (
     woodall_plus2,
     zhu_digraph,
 )
-from zham.conditions import CONDITION_IDS, ConditionReport
+import pickle
+import sys
+import threading
 
+from zham.conditions import CONDITION_IDS, ConditionReport
+from zham.verifier import enumerate_bipartite, enumerate_digraphs, enumerate_graphs
+
+import brute
 from brute import bipartite_graphs, digraphs, graphs
 
 
@@ -359,3 +365,181 @@ def test_bipartite_conditions_are_monotone_under_edge_addition(g, rng):
     for predicate in predicates:
         if predicate(g).hypothesis_holds:
             assert predicate(bigger).hypothesis_holds
+
+
+# ---------------------------------------------------------------------------
+# Lazy predicates against the eager reference bodies
+
+
+def _condition_pairs(instance):
+    """(condition id, report, reference report) for every condition that
+    applies to ``instance``, moon-moser-k once per admissible k."""
+    if isinstance(instance, Digraph):
+        table = [
+            ("ghouila-houri", ghouila_houri, brute.ghouila_houri_reference),
+            ("zhu", zhu_digraph, brute.zhu_reference),
+            ("cor1-disjoint-hc", disjoint_hc_degree, brute.disjoint_hc_degree_reference),
+            ("woodall", woodall, brute.woodall_reference),
+            ("cor2-woodall-plus2", woodall_plus2, brute.woodall_plus2_reference),
+        ]
+    elif isinstance(instance, Graph):
+        table = [
+            ("dirac", dirac, brute.dirac_reference),
+            ("faudree", faudree, brute.faudree_reference),
+        ]
+    else:
+        n = instance.n
+        table = [
+            ("moon-moser-half", moon_moser_half, brute.moon_moser_half_reference),
+            ("las-vergnas", las_vergnas, brute.las_vergnas_reference),
+            ("cor3-ore-pm", lambda g: ore_bipartite(g, n),
+             lambda g: brute.ore_bipartite_reference(g, n)),
+            ("cor3-ore-2pm", lambda g: ore_bipartite(g, n + 2),
+             lambda g: brute.ore_bipartite_reference(g, n + 2)),
+        ] + [
+            ("moon-moser-k", lambda g, k=k: moon_moser_k(g, k),
+             lambda g, k=k: brute.moon_moser_k_reference(g, k))
+            for k in range(2, n)
+        ]
+    return [(cid, fn(instance), ref(instance)) for cid, fn, ref in table]
+
+
+def _assert_matches_reference(instance):
+    seen = set()
+    for cid, report, expected in _condition_pairs(instance):
+        seen.add(cid)
+        assert report.condition_id == cid
+        # decided before listing: compare the decision, then every listed view
+        assert report.hypothesis_holds == expected.hypothesis_holds
+        assert report == expected
+        assert report.to_dict() == expected.to_dict()
+        assert repr(report) == repr(expected)
+        assert report.violating_items == expected.violating_items
+    return seen
+
+
+def _exhaustive_instances():
+    for n in range(1, 4):
+        yield from enumerate_digraphs(n)
+        yield from enumerate_bipartite(n)
+    for n in range(1, 6):
+        yield from enumerate_graphs(n)
+
+
+def test_every_condition_matches_the_eager_reference_exhaustively():
+    seen = set()
+    for instance in _exhaustive_instances():
+        seen |= _assert_matches_reference(instance)
+    assert seen == set(CONDITION_IDS)
+
+
+@given(digraphs(max_n=6))
+def test_digraph_conditions_match_the_eager_reference(d):
+    _assert_matches_reference(d)
+
+
+@given(bipartite_graphs(max_n=6))
+def test_bipartite_conditions_match_the_eager_reference(g):
+    _assert_matches_reference(g)
+
+
+@given(graphs(max_n=6))
+def test_graph_conditions_match_the_eager_reference(g):
+    _assert_matches_reference(g)
+
+
+class TestLazyReport:
+    def test_repr_is_the_dataclass_form(self):
+        # the exact text reports printed when they were frozen dataclasses
+        g = Graph(3, frozenset({(1, 2)}))
+        assert repr(dirac(g)) == (
+            "ConditionReport(condition_id='dirac', hypothesis_holds=False, "
+            "violating_items=({'vertex': 1, 'degree': 1}, {'vertex': 2, 'degree': 1}, "
+            "{'vertex': 3, 'degree': 0}), parameters={'n': 3}, note='')"
+        )
+        b = BipartiteGraph(2, frozenset({(1, 1)}))
+        assert repr(las_vergnas(b)) == (
+            "ConditionReport(condition_id='las-vergnas', hypothesis_holds=False, "
+            "violating_items=({'pair': ['x1', 'y2'], 'degree_sum': 1}, "
+            "{'pair': ['x2', 'y1'], 'degree_sum': 1}, {'pair': ['x2', 'y2'], "
+            "'degree_sum': 0}), parameters={'n': 2}, note='')"
+        )
+
+    def test_deciding_lists_only_the_first_violator(self):
+        pulled = []
+
+        def violators():
+            for item in ({"vertex": 1}, {"vertex": 2}, {"vertex": 3}):
+                pulled.append(item["vertex"])
+                yield item
+
+        report = ConditionReport._decide("dirac", violators, {"n": 3})
+        assert not report.hypothesis_holds
+        assert pulled == [1]
+        assert report.violating_items == ({"vertex": 1}, {"vertex": 2}, {"vertex": 3})
+        assert pulled == [1, 1, 2, 3]  # listed from scratch, once
+        assert report.violating_items is report.violating_items
+
+    def test_a_holding_report_lists_nothing(self):
+        report = ConditionReport._decide("dirac", lambda: iter(()), {"n": 3})
+        assert report.hypothesis_holds
+        assert report.violating_items == ()
+        assert report == ConditionReport("dirac", True, (), {"n": 3})
+
+    def test_reports_compare_by_value_and_are_unhashable(self):
+        report = woodall(C3)
+        assert report == woodall(build_digraph(3, [(1, 2), (2, 3), (3, 1)]))
+        assert report != woodall(K3)
+        assert report != report.to_dict()
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_reports_are_read_only(self):
+        report = woodall(C3)
+        for name in ("condition_id", "hypothesis_holds", "violating_items", "parameters", "note"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+        with pytest.raises(AttributeError):
+            report.extra = 1
+
+    def test_pickle_round_trip_lists_the_violators(self):
+        report = las_vergnas(Z_C3)
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report
+        assert copy.violating_items == report.violating_items
+
+    def test_degree_table_is_built_once_per_instance(self):
+        g = BipartiteGraph(3, frozenset({(1, 1), (2, 2), (3, 3), (1, 2)}))
+        moon_moser_half(g)
+        table = g._memo["degrees"]
+        las_vergnas(g)
+        moon_moser_k(g, 2)
+        ore_bipartite(g, 5)
+        assert g._memo["degrees"] is table
+        assert table == (("x1", "x2", "x3", "y1", "y2", "y3"), (2, 1, 1, 1, 2, 1))
+
+    def test_concurrent_first_reads_list_equal_tuples(self):
+        d = Digraph(6)  # 30 woodall pair deficits plus NOT_STRONG
+        expected = brute.woodall_reference(d).violating_items
+        reports = [woodall(Digraph(6)) for _ in range(40)]
+        results = []
+        lock = threading.Lock()
+
+        def read_all():
+            got = [r.violating_items for r in reports]
+            with lock:
+                results.append(got)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_all) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(items == expected for got in results for items in got)

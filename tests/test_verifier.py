@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given
 
+import brute
+from brute import bipartite_graphs, digraphs, graphs
 from zham import (
     CLAIMS,
     ESTABLISHED_CLAIM_IDS,
@@ -17,6 +20,7 @@ from zham import (
     report_json,
     reverify_record,
     run_suite,
+    zmap,
 )
 from zham.verifier import (
     BUDGET_EXHAUSTED,
@@ -73,8 +77,9 @@ class TestCheckClaim:
         assert details["hypothesis"]["cycle"] == [1, 2, 3]
 
     def test_ghouila_misses_on_triangle(self):
-        outcome, _ = check_claim(CLAIMS["ghouila"], C3)
+        outcome, details = check_claim(CLAIMS["ghouila"], C3)
         assert outcome == HYPOTHESIS_MISS
+        assert details == {}
 
     def test_budget_exhaustion_is_an_outcome(self):
         k5 = build_digraph(
@@ -94,6 +99,87 @@ class TestCheckClaim:
         outcome, details = check_claim(CLAIMS["zhu"], d)
         assert outcome == COUNTEREXAMPLE
         assert details["conclusion"]["hamiltonian"] is False
+
+
+def _reference_hypothesis(claim, instance):
+    """(holds, details) of ``claim``'s hypothesis, the degree conditions
+    decided and explained by the eager reference predicates; a holding
+    hypothesis carries the details every hit has always carried."""
+    cid = claim.claim_id
+    n = instance.n
+    if cid == "mm-k":
+        holding = [k for k in range(2, n) if brute.moon_moser_k_reference(instance, k).hypothesis_holds]
+        return bool(holding), {"holding_k": holding, "n": n}
+    reference = {
+        "dirac": brute.dirac_reference,
+        "ghouila": brute.ghouila_houri_reference,
+        "faudree": brute.faudree_reference,
+        "zhu": brute.zhu_reference,
+        "mm-half": brute.moon_moser_half_reference,
+        "cor1": brute.disjoint_hc_degree_reference,
+        "lv": brute.las_vergnas_reference,
+        "woodall": brute.woodall_reference,
+        "cor2": brute.woodall_plus2_reference,
+        "cor3a": lambda g: brute.ore_bipartite_reference(g, n),
+        "cor3b": lambda g: brute.ore_bipartite_reference(g, n + 2),
+    }.get(cid)
+    if reference is not None:
+        report = reference(instance)
+        return report.hypothesis_holds, report.to_dict()
+    # thm-zg, thm-gz, thm-zg-pullback: decided by brute force, explained by
+    # their own unchanged hypothesis functions
+    image_ham = brute.brute_ham_bipartite(zmap(instance))
+    holds = {
+        "thm-zg": brute.strongly_connected_reference(instance) and image_ham,
+        "thm-gz": brute.brute_ham_digraph(instance),
+        "thm-zg-pullback": image_ham,
+    }[cid]
+    if not holds:
+        return False, None
+    reported_holds, details = claim.hypothesis(instance, None)
+    assert reported_holds
+    return True, details
+
+
+def _assert_check_matches_reference(instance):
+    for claim in CLAIMS.values():
+        if claim.instance_kind != _KIND_OF[type(instance).__name__]:
+            continue
+        outcome, details = check_claim(claim, instance)
+        holds, hyp_details = _reference_hypothesis(claim, instance)
+        if not holds:
+            assert (outcome, details) == (HYPOTHESIS_MISS, {}), claim.claim_id
+            continue
+        concluded, concl_details = claim.conclusion(instance, None)
+        assert outcome == (PASS if concluded else COUNTEREXAMPLE), claim.claim_id
+        assert details == {"hypothesis": hyp_details, "conclusion": concl_details}
+
+
+_KIND_OF = {"Digraph": "digraph", "BipartiteGraph": "bipartite", "Graph": "graph"}
+
+
+class TestCheckClaimMatchesReference:
+    def test_every_small_instance(self):
+        for n in range(1, 4):
+            for instance in enumerate_digraphs(n):
+                _assert_check_matches_reference(instance)
+            for instance in enumerate_bipartite(n):
+                _assert_check_matches_reference(instance)
+        for n in range(1, 6):
+            for instance in enumerate_graphs(n):
+                _assert_check_matches_reference(instance)
+
+    @given(digraphs(max_n=5))
+    def test_random_digraphs(self, d):
+        _assert_check_matches_reference(d)
+
+    @given(bipartite_graphs(max_n=4))
+    def test_random_bipartite_graphs(self, g):
+        _assert_check_matches_reference(g)
+
+    @given(graphs(max_n=6))
+    def test_random_graphs(self, g):
+        _assert_check_matches_reference(g)
 
 
 class TestRunSuite:
