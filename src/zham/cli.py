@@ -52,13 +52,14 @@ from .verifier import (
     StoreError,
     align_columns,
     build_report,
+    disjoint_pair_json,
     established_failures,
-    is_spanning_cycle_factor,
+    pullback_halves,
     render_table,
     report_json,
     run_suite,
 )
-from .zmapping import ham_cycle_pullback, matching_pushforward, unzmap, zmap
+from .zmapping import matching_pushforward, unzmap, zmap
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -89,10 +90,17 @@ def _resolve_budget(flag_value):
         raise ParseError(f"ZHAM_BUDGET must be an integer, got {env!r}") from None
 
 
-def _load(path, expect, what):
+_KIND_LABELS = {
+    Digraph: "digraph (D header)",
+    BipartiteGraph: "bipartite (B header)",
+    Graph: "undirected (G header)",
+}
+
+
+def _load(path, kind):
     obj = parse_graph_file(path)
-    if not isinstance(obj, expect):
-        raise GraphError(f"{path}: expected {what} input")
+    if not isinstance(obj, kind):
+        raise GraphError(f"{path}: expected {_KIND_LABELS[kind]} input")
     return obj
 
 
@@ -103,9 +111,9 @@ def _write_text(path, text):
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _cmd_transform(kind, label, transform, args):
+def _cmd_transform(kind, transform, args):
     """Load one ``kind`` of graph and write its ``transform`` image."""
-    image = transform(_load(args.input, kind, label))
+    image = transform(_load(args.input, kind))
     _write_text(args.output, serialize_graph(image))
     if args.dot:
         _write_text(args.dot, to_dot(image))
@@ -124,10 +132,10 @@ def _solver_payload(result, extra=None):
     return payload
 
 
-def _cmd_cycle(kind, label, solver, args, extend=None):
+def _cmd_cycle(kind, solver, args, extend=None):
     """Load one ``kind`` of graph and search it with ``solver``; a found
     cycle's payload gains the fields ``extend(graph, witness)`` returns."""
-    obj = _load(args.input, kind, label)
+    obj = _load(args.input, kind)
     result = solver(obj, _resolve_budget(args.budget))
     extra = extend(obj, result.witness) if extend is not None and result.found else None
     _emit_json(_solver_payload(result, extra))
@@ -135,7 +143,7 @@ def _cmd_cycle(kind, label, solver, args, extend=None):
 
 
 def _cmd_match(args):
-    g = _load(args.input, BipartiteGraph, "bipartite (B header)")
+    g = _load(args.input, BipartiteGraph)
     matching = max_matching(g)
     _emit_json(
         {
@@ -148,17 +156,9 @@ def _cmd_match(args):
 
 
 def _cmd_pm2(args):
-    g = _load(args.input, BipartiteGraph, "bipartite (B header)")
+    g = _load(args.input, BipartiteGraph)
     result = find_two_disjoint_perfect_matchings(g, _resolve_budget(args.budget))
-    _emit_json(
-        {
-            "found": result.found,
-            "first": witness_json(result.first),
-            "second": witness_json(result.second),
-            "nodes_explored": result.nodes_explored,
-            "exhausted": result.exhausted,
-        }
-    )
+    _emit_json({**disjoint_pair_json(result), "exhausted": result.exhausted})
     return EXIT_BUDGET if result.exhausted else EXIT_OK
 
 
@@ -216,16 +216,6 @@ def _cmd_conditions(args):
             )
         sys.stdout.write(align_columns(rows))
     return EXIT_OK
-
-
-def _pullback_halves(g, witness):
-    first, second = ham_cycle_pullback(g, witness)
-    return {
-        "first_half": pairs_json(first),
-        "second_half": pairs_json(second),
-        "first_half_is_cycle_factor": is_spanning_cycle_factor(g.n, first),
-        "second_half_is_cycle_factor": is_spanning_cycle_factor(g.n, second),
-    }
 
 
 def _pushforward_matching(d, witness):
@@ -301,24 +291,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, kind, label, transform in (
-        ("zmap", "digraph file -> bipartite image file", Digraph, "digraph (D header)", zmap),
-        ("unzmap", "bipartite file -> digraph preimage file", BipartiteGraph,
-         "bipartite (B header)", unzmap),
+    for name, help_text, kind, transform in (
+        ("zmap", "digraph file -> bipartite image file", Digraph, zmap),
+        ("unzmap", "bipartite file -> digraph preimage file", BipartiteGraph, unzmap),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_io(p, output=True, dot=True)
-        p.set_defaults(func=partial(_cmd_transform, kind, label, transform))
+        p.set_defaults(func=partial(_cmd_transform, kind, transform))
 
-    for name, what, kind, label, solver in (
-        ("ham", "directed", Digraph, "digraph (D header)", find_hamiltonian_cycle),
-        ("bipham", "bipartite", BipartiteGraph, "bipartite (B header)",
-         find_hamiltonian_cycle_bipartite),
-        ("gham", "undirected", Graph, "undirected (G header)", find_hamiltonian_cycle_undirected),
+    for name, what, kind, solver in (
+        ("ham", "directed", Digraph, find_hamiltonian_cycle),
+        ("bipham", "bipartite", BipartiteGraph, find_hamiltonian_cycle_bipartite),
+        ("gham", "undirected", Graph, find_hamiltonian_cycle_undirected),
     ):
         p = sub.add_parser(name, help=f"{what} Hamiltonian cycle search")
         _add_io(p, budget=True)
-        p.set_defaults(func=partial(_cmd_cycle, kind, label, solver))
+        p.set_defaults(func=partial(_cmd_cycle, kind, solver))
 
     p = sub.add_parser("match", help="maximum bipartite matching")
     _add_io(p)
@@ -346,8 +334,7 @@ def build_parser():
     _add_io(p, budget=True)
     p.set_defaults(
         func=partial(
-            _cmd_cycle, BipartiteGraph, "bipartite (B header)", find_hamiltonian_cycle_bipartite,
-            extend=_pullback_halves,
+            _cmd_cycle, BipartiteGraph, find_hamiltonian_cycle_bipartite, extend=pullback_halves
         )
     )
 
@@ -356,10 +343,7 @@ def build_parser():
     )
     _add_io(p, budget=True)
     p.set_defaults(
-        func=partial(
-            _cmd_cycle, Digraph, "digraph (D header)", find_hamiltonian_cycle,
-            extend=_pushforward_matching,
-        )
+        func=partial(_cmd_cycle, Digraph, find_hamiltonian_cycle, extend=_pushforward_matching)
     )
 
     p = sub.add_parser("verify", help="sweep claims over enumerated instances")

@@ -14,7 +14,8 @@ A hypothesis is decided before it is explained.  Each predicate describes
 its violators as one sequence in a fixed order, decides
 ``hypothesis_holds`` from the sequence's first item alone, and lists the
 whole sequence only when ``violating_items`` is first read.  Degrees come
-from one table per instance, memoised on it like strong connectivity.
+from ``core.degree_table``, one table per instance, memoised on it like
+strong connectivity.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from functools import partial
 from operator import attrgetter
 
-from .core import BipartiteGraph, Digraph, Graph, GraphError
+from .core import BipartiteGraph, Digraph, Graph, GraphError, degree_table
 from .solvers import strongly_connected
 
 CONDITION_IDS = (
@@ -128,27 +129,6 @@ class ConditionReport:
         }
 
 
-def _degrees(instance):
-    """The degree table of ``instance``, memoised on it: the vertex labels and
-    degrees in ``vertices()`` order ("x1".."xn", "y1".."yn" for a bipartite
-    graph), plus a digraph's out- and in-degrees in the same order."""
-    table = instance._memo.get("degrees")
-    if table is None:
-        if isinstance(instance, BipartiteGraph):
-            parts = range(1, instance.n + 1)
-            labels = tuple([f"x{i}" for i in parts] + [f"y{j}" for j in parts])
-            degrees = tuple(map(len, instance._adj_x[1:] + instance._adj_y[1:]))
-            table = (labels, degrees)
-        elif isinstance(instance, Digraph):
-            outs = tuple(map(len, instance._succ[1:]))
-            ins = tuple(map(len, instance._pred[1:]))
-            table = (instance.vertices(), tuple(map(int.__add__, outs, ins)), outs, ins)
-        else:
-            table = (instance.vertices(), tuple(map(len, instance._adj[1:])))
-        instance._memo["degrees"] = table
-    return table
-
-
 def _low_vertices(labels, degrees, scale, bound):
     """Violator sequence: ``{"vertex", "degree"}`` items of the vertices with
     ``scale * degree < bound``."""
@@ -187,7 +167,7 @@ def dirac(g: Graph) -> ConditionReport:
     n = g.n
     if n <= 2:
         return _too_small("dirac", n, 3)
-    labels, degrees = _degrees(g)
+    labels, degrees = degree_table(g)
     return ConditionReport._decide("dirac", partial(_low_vertices, labels, degrees, 2, n), {"n": n})
 
 
@@ -196,7 +176,7 @@ def ghouila_houri(d: Digraph) -> ConditionReport:
     n = d.n
     if n <= 2:
         return _too_small("ghouila-houri", n, 3)
-    labels, degrees, _, _ = _degrees(d)
+    labels, degrees, _, _ = degree_table(d)
     violators = _strong_then(strongly_connected(d), partial(_low_vertices, labels, degrees, 1, n))
     return ConditionReport._decide("ghouila-houri", violators, {"n": n})
 
@@ -206,7 +186,7 @@ def faudree(g: Graph) -> ConditionReport:
     n = g.n
     if n <= 2:
         return _too_small("faudree", n, 3)
-    labels, degrees = _degrees(g)
+    labels, degrees = degree_table(g)
     k = min(degrees)
     s_size = len([d for d in degrees if 2 * d < n])
     violators = _no_violators
@@ -221,7 +201,7 @@ def zhu_digraph(d: Digraph) -> ConditionReport:
     n = d.n
     if n <= 2:
         return _too_small("zhu", n, 3)
-    labels, degrees, _, _ = _degrees(d)
+    labels, degrees, _, _ = degree_table(d)
     k = min(degrees)
     s_size = len([t for t in degrees if t < n])
     small = _no_violators
@@ -236,7 +216,7 @@ def moon_moser_k(g: BipartiteGraph, k: int) -> ConditionReport:
     n = g.n
     if not isinstance(k, int) or isinstance(k, bool) or not 1 < k < n:
         raise GraphError(f"k must satisfy 1 < k < n, got k={k!r} with n={n}")
-    labels, degrees = _degrees(g)
+    labels, degrees = degree_table(g)
     s_size = len([d for d in degrees if d < k])
     violators = _no_violators
     if s_size >= n:
@@ -254,7 +234,7 @@ def moon_moser_half(g: BipartiteGraph) -> ConditionReport:
     n = g.n
     if n < 2:
         return _too_small("moon-moser-half", n, 2)
-    labels, degrees = _degrees(g)
+    labels, degrees = degree_table(g)
     violators = partial(_low_vertices, labels, degrees, 2, n + 1)
     return ConditionReport._decide("moon-moser-half", violators, {"n": n})
 
@@ -264,7 +244,7 @@ def disjoint_hc_degree(d: Digraph) -> ConditionReport:
     n = d.n
     if n <= 2:
         return _too_small("cor1-disjoint-hc", n, 3)
-    labels, _, outs, ins = _degrees(d)
+    labels, _, outs, ins = degree_table(d)
 
     def low_vertices():
         for v, out, in_ in zip(labels, outs, ins):
@@ -316,7 +296,7 @@ def woodall_plus2(d: Digraph) -> ConditionReport:
 def _pair_deficits(d, threshold):
     """Violator sequence: ordered non-arc pairs u != v with d+(u) + d-(v)
     below ``threshold``."""
-    vertices, _, outs, ins = _degrees(d)
+    vertices, _, outs, ins = degree_table(d)
 
     def violators():
         for u, out in zip(vertices, outs):
@@ -357,7 +337,7 @@ def _cross_pair_deficits(g, threshold):
     """Violator sequence: non-adjacent cross pairs (x_i, y_j) with
     d(x_i) + d(y_j) below ``threshold``."""
     n = g.n
-    labels, degrees = _degrees(g)
+    labels, degrees = degree_table(g)
 
     def violators():
         for i, x_degree in enumerate(degrees[:n], 1):

@@ -9,10 +9,10 @@ All types are immutable after construction and validate their invariants in
 ``Digraph``, ``Graph`` and ``BipartiteGraph`` carry a private ``_memo`` dict
 that the solvers, the Z-mapping and the condition predicates fill with facts
 derived deterministically from the value (strong connectivity, a cycle
-search per node budget, the bipartite image, the degree table).  It never takes part in equality, hashing or ``repr``, and
-it lives exactly as long as the instance, so the value stays immutable.  It
-is safe to share between threads: a race at worst computes an equal result
-twice.
+search per node budget, the bipartite image, the ``degree_table``).  It
+never takes part in equality, hashing or ``repr``, and it lives exactly as
+long as the instance, so the value stays immutable.  It is safe to share
+between threads: a race at worst computes an equal result twice.
 """
 
 from __future__ import annotations
@@ -111,11 +111,6 @@ class Digraph:
 def build_digraph(n, arcs):
     """Validated digraph from an arc list; duplicates collapse (set semantics)."""
     return Digraph(n, frozenset(tuple(_as_pair(a)) for a in arcs))
-
-
-def degrees(d: Digraph):
-    """Per-vertex (out, in, total) degree triples, keyed by vertex."""
-    return {v: (d.out_degree(v), d.in_degree(v), d.degree(v)) for v in d.vertices()}
 
 
 @dataclass(frozen=True)
@@ -227,6 +222,36 @@ class BipartiteGraph:
         return f"BipartiteGraph(n={self.n}, edges={sorted(self.edges)})"
 
 
+def degree_table(instance):
+    """The degree table of ``instance``, memoised on it under "degrees": the
+    vertex labels and degrees in ``vertices()`` order ("x1".."xn", "y1".."yn"
+    for a bipartite graph), plus a digraph's out- and in-degrees in the same
+    order.  The condition predicates, ``degrees`` and the verifier's
+    counterexample details all read this one table."""
+    table = instance._memo.get("degrees")
+    if table is None:
+        if isinstance(instance, BipartiteGraph):
+            parts = range(1, instance.n + 1)
+            labels = tuple([f"x{i}" for i in parts] + [f"y{j}" for j in parts])
+            degrees = tuple(map(len, instance._adj_x[1:] + instance._adj_y[1:]))
+            table = (labels, degrees)
+        elif isinstance(instance, Digraph):
+            outs = tuple(map(len, instance._succ[1:]))
+            ins = tuple(map(len, instance._pred[1:]))
+            table = (instance.vertices(), tuple(map(int.__add__, outs, ins)), outs, ins)
+        else:
+            table = (instance.vertices(), tuple(map(len, instance._adj[1:])))
+        instance._memo["degrees"] = table
+    return table
+
+
+def degrees(d: Digraph):
+    """Per-vertex (out, in, total) degree triples of a digraph, keyed by
+    vertex; read from ``degree_table``."""
+    vertices, totals, outs, ins = degree_table(d)
+    return dict(zip(vertices, zip(outs, ins, totals)))
+
+
 def format_bipartite_vertex(vertex):
     """("x", 3) -> "x3"."""
     side, i = vertex
@@ -285,6 +310,10 @@ class CycleWitness:
         return len(self.sequence) == target
 
 
+def _is_vertex(v, n):
+    return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
+
+
 def check_cycle(host, witness) -> bool:
     """True when ``witness`` certifies a simple cycle of ``host``.
 
@@ -293,49 +322,30 @@ def check_cycle(host, witness) -> bool:
     may have length 2 (a digon uses two distinct arcs); undirected and
     bipartite cycles need length >= 3, and bipartite adjacency forces even
     length.  Never raises: malformed witnesses simply fail.
+
+    One row per host kind (witness kind, shortest cycle, vertex test, pair
+    set) feeds one set of checks; the arcs or edges are those of
+    ``witness.items``, and a bipartite cycle must alternate parts first.
     """
-    if not isinstance(witness, CycleWitness):
+    if isinstance(host, Digraph):
+        row = DIGRAPH_CYCLE, 2, _is_vertex, host.arcs, False
+    elif isinstance(host, BipartiteGraph):
+        row = GRAPH_CYCLE, 3, _is_bipartite_vertex, host.edges, True
+    elif isinstance(host, Graph):
+        row = GRAPH_CYCLE, 3, _is_vertex, host.edges, False
+    else:
+        return False
+    kind, shortest, is_vertex, pairs, alternates = row
+    if not isinstance(witness, CycleWitness) or witness.kind != kind:
         return False
     seq = witness.sequence
-    length = len(seq)
-
-    if isinstance(host, Digraph):
-        if witness.kind != DIGRAPH_CYCLE or length < 2:
-            return False
-        if any(not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= host.n for v in seq):
-            return False
-        if len(set(seq)) != length:
-            return False
-        arcs = host.arcs
-        return all((seq[i], seq[(i + 1) % length]) in arcs for i in range(length))
-
-    if isinstance(host, BipartiteGraph):
-        if witness.kind != GRAPH_CYCLE or length < 3:
-            return False
-        if any(not _is_bipartite_vertex(v, host.n) for v in seq):
-            return False
-        if len(set(seq)) != length:
-            return False
-        edges = host.edges
-        for i in range(length):
-            a, b = seq[i], seq[(i + 1) % length]
-            if a[0] == b[0]:
-                return False
-            edge = (a[1], b[1]) if a[0] == "x" else (b[1], a[1])
-            if edge not in edges:
-                return False
-        return True
-
-    if isinstance(host, Graph):
-        if witness.kind != GRAPH_CYCLE or length < 3:
-            return False
-        if any(not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= host.n for v in seq):
-            return False
-        if len(set(seq)) != length:
-            return False
-        return all(host.has_edge(seq[i], seq[(i + 1) % length]) for i in range(length))
-
-    return False
+    if len(seq) < shortest or not all(is_vertex(v, host.n) for v in seq):
+        return False
+    if len(set(seq)) != len(seq):
+        return False
+    if alternates and any(a[0] == b[0] for a, b in zip(seq, seq[1:] + seq[:1])):
+        return False
+    return all(item in pairs for item in witness.items)
 
 
 @dataclass(frozen=True)

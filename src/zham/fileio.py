@@ -7,8 +7,9 @@ for B, the edge u—v for G.  ``#`` starts a comment line, indices are 1-based,
 encoding is UTF-8 with LF line endings.  Serialization always emits edges in
 ascending order, so parse-serialize is a normalizing round trip.
 
-A header larger than ``MAX_HEADER_N`` is refused with ``GraphError`` before
-anything is sized by it, and a file that is not UTF-8 is a ``ParseError``.
+A header n below 1 or above ``MAX_HEADER_N`` is refused with ``GraphError``
+before anything is sized by it, and a file that is not UTF-8 is a
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def parse_graph_text(text: str):
 
     Raises ``ParseError`` for syntax problems and the core validation errors
     (self-loop, out-of-range endpoint) with the offending line named; a
-    header n above ``MAX_HEADER_N`` raises ``GraphError``.
+    header n below 1 or above ``MAX_HEADER_N`` raises ``GraphError`` naming
+    the header line.
     """
     lines = _content_lines(text)
     try:
@@ -70,6 +72,8 @@ def parse_graph_text(text: str):
     except ValueError:
         raise ParseError(f"vertex count {fields[1]!r} is not an integer", header_no) from None
     kind = fields[0]
+    if n < 1:
+        raise GraphError(f"header size {n} is below 1 at line {header_no}")
     if n > MAX_HEADER_N:
         raise GraphError(f"header size {n} exceeds the cap of {MAX_HEADER_N} at line {header_no}")
 
@@ -88,10 +92,7 @@ def parse_graph_text(text: str):
             raise SelfLoopError(f"self-loop at line {line_no}")
         pairs.append((u, v))
 
-    try:
-        return _HEADER_KINDS[kind](n, frozenset(pairs))
-    except GraphError as exc:  # pragma: no cover - per-line checks catch these first
-        raise GraphError(f"{exc} (while building {kind} {n})") from exc
+    return _HEADER_KINDS[kind](n, frozenset(pairs))
 
 
 def parse_graph_file(path):
@@ -103,16 +104,13 @@ def parse_graph_file(path):
 
 
 def serialize_graph(obj) -> str:
-    """Canonical text form: header plus ascending edge lines, LF-terminated."""
-    if isinstance(obj, Digraph):
-        kind, n, pairs = "D", obj.n, sorted(obj.arcs)
-    elif isinstance(obj, BipartiteGraph):
-        kind, n, pairs = "B", obj.n, sorted(obj.edges)
-    elif isinstance(obj, Graph):
-        kind, n, pairs = "G", obj.n, sorted(obj.edges)
-    else:
+    """Canonical text form: header plus ascending edge lines, LF-terminated.
+    The header letter is the ``_HEADER_KINDS`` entry ``obj`` is an instance of."""
+    letter = next((h for h, kind in _HEADER_KINDS.items() if isinstance(obj, kind)), None)
+    if letter is None:
         raise GraphError(f"cannot serialize {type(obj).__name__}")
-    lines = [f"{kind} {n}"] + [f"{u} {v}" for u, v in pairs]
+    pairs = sorted(obj.arcs if letter == "D" else obj.edges)
+    lines = [f"{letter} {obj.n}"] + [f"{u} {v}" for u, v in pairs]
     return "\n".join(lines) + "\n"
 
 

@@ -223,12 +223,6 @@ def _masks(rows):
     return [sum(1 << w for w in row) for row in rows]
 
 
-def _first(iterator):
-    for item in iterator:
-        return item
-    return None
-
-
 def _digraph_viable(d: Digraph, k=1) -> bool:
     """n > 1, every in- and out-degree at least ``k``, and strongly connected.
 
@@ -294,7 +288,7 @@ def _solve_cycle(host, viable, b) -> SolveResult:
     else:
         size, rows, kind = n, host._adj, GRAPH_CYCLE
     try:
-        seq = _first(_search_cycle(size, 1, _masks(rows), b))
+        seq = next(_search_cycle(size, 1, _masks(rows), b), None)
     except BudgetExhausted:
         return SolveResult(False, None, b.spent, exhausted=True)
     if seq is None:
@@ -469,7 +463,7 @@ def find_two_disjoint_hamiltonian_cycles(d: Digraph, budget=None) -> DisjointPai
             rest = Digraph(d.n, d.arcs - cycle_arcs)
             if not _digraph_viable(rest):
                 continue
-            second = _first(_search_cycle(rest.n, 1, _masks(rest._succ), b))
+            second = next(_search_cycle(rest.n, 1, _masks(rest._succ), b), None)
             if second is not None:
                 w1 = CycleWitness(DIGRAPH_CYCLE, first)
                 w2 = CycleWitness(DIGRAPH_CYCLE, second)

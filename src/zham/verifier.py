@@ -37,7 +37,7 @@ from .core import (
     Digraph,
     Graph,
     GraphError,
-    format_bipartite_vertex,
+    degree_table,
     pairs_json,
     witness_json,
 )
@@ -240,12 +240,8 @@ def _ham_conclusion(solver):
 def _thm_zg_hypothesis(d, budget):
     if not strongly_connected(d):
         return False, None
-    result = _decided(find_hamiltonian_cycle_bipartite(zmap(d), budget))
-    return result.found, {
-        "strongly_connected": True,
-        "zmap_hamiltonian": result.found,
-        "zmap_cycle": witness_json(result.witness),
-    }
+    holds, details = _pullback_hypothesis(d, budget)
+    return holds, {"strongly_connected": True, **details}
 
 
 def _thm_gz_hypothesis(d, budget):
@@ -286,20 +282,28 @@ def is_spanning_cycle_factor(n, arcs) -> bool:
     return all(outs[v] == 1 and ins[v] == 1 for v in range(1, n + 1))
 
 
+def pullback_halves(g, witness):
+    """JSON form of the two pullback halves of a Hamiltonian cycle
+    ``witness`` of the bipartite graph ``g``: each half's sorted arc list and
+    whether it is a spanning cycle factor of the preimage on 1..n.  The
+    ``thm-zg-pullback`` conclusion and ``zham pullback`` both use it."""
+    first, second = ham_cycle_pullback(g, witness)
+    return {
+        "first_half": pairs_json(first),
+        "first_half_is_cycle_factor": is_spanning_cycle_factor(g.n, first),
+        "second_half": pairs_json(second),
+        "second_half_is_cycle_factor": is_spanning_cycle_factor(g.n, second),
+    }
+
+
 def _pullback_conclusion(d, budget):
     z = zmap(d)
     result = _decided(find_hamiltonian_cycle_bipartite(z, budget))
     if not result.found:  # unreachable under the hypothesis; stay total
         return True, {"zmap_hamiltonian": False}
-    first, second = ham_cycle_pullback(z, result.witness)
-    first_ok = is_spanning_cycle_factor(d.n, first)
-    second_ok = is_spanning_cycle_factor(d.n, second)
-    return first_ok and second_ok, {
-        "first_half": pairs_json(first),
-        "first_half_is_cycle_factor": first_ok,
-        "second_half": pairs_json(second),
-        "second_half_is_cycle_factor": second_ok,
-    }
+    halves = pullback_halves(z, result.witness)
+    factors = halves["first_half_is_cycle_factor"] and halves["second_half_is_cycle_factor"]
+    return factors, halves
 
 
 def _mm_k_hypothesis(g, budget):
@@ -307,17 +311,24 @@ def _mm_k_hypothesis(g, budget):
     return bool(holding), {"holding_k": holding, "n": g.n}
 
 
+def disjoint_pair_json(result):
+    """JSON form of a ``DisjointPair``: ``found``, both witnesses and
+    ``nodes_explored``.  The disjoint-pair conclusions and ``zham pm2`` both
+    use it."""
+    return {
+        "found": result.found,
+        "first": witness_json(result.first),
+        "second": witness_json(result.second),
+        "nodes_explored": result.nodes_explored,
+    }
+
+
 def _disjoint_pair_conclusion(solver):
     """Conclusion "two disjoint cycles (or matchings) exist", by ``solver``."""
 
     def conclusion(instance, budget):
         result = _decided(solver(instance, budget))
-        return result.found, {
-            "found": result.found,
-            "first": witness_json(result.first),
-            "second": witness_json(result.second),
-            "nodes_explored": result.nodes_explored,
-        }
+        return result.found, disjoint_pair_json(result)
 
     return conclusion
 
@@ -503,16 +514,12 @@ def check_claim(claim: Claim, instance, budget=None):
 
 
 def _instance_degrees(instance):
-    if isinstance(instance, Digraph):
-        return {
-            str(v): [instance.out_degree(v), instance.in_degree(v), instance.degree(v)]
-            for v in instance.vertices()
-        }
-    if isinstance(instance, BipartiteGraph):
-        return {
-            format_bipartite_vertex(v): instance.degree(v) for v in instance.vertices()
-        }
-    return {str(v): instance.degree(v) for v in instance.vertices()}
+    """Counterexample details' degrees, read from ``degree_table``: a
+    digraph's [out, in, total] per vertex, otherwise the degree per label."""
+    labels, totals, *directed = degree_table(instance)
+    if directed:
+        return {str(v): [out, in_, total] for v, total, out, in_ in zip(labels, totals, *directed)}
+    return {str(v): total for v, total in zip(labels, totals)}
 
 
 def _resolve_claims(claim_ids):
@@ -739,7 +746,7 @@ class CounterexampleStore:
     def load(self):
         try:
             text = self.path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise StoreError(f"cannot read store {self.path}: {exc}") from exc
         records = []
         for line_no, line in enumerate(text.splitlines(), start=1):

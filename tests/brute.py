@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from zham import BipartiteGraph, Digraph, Graph
+from zham import DIGRAPH_CYCLE, GRAPH_CYCLE, BipartiteGraph, CycleWitness, Digraph, Graph
 from zham.conditions import NOT_STRONG, ConditionReport
 from zham.core import format_bipartite_vertex
 from zham.verifier import arc_universe, bipartite_edge_universe, graph_edge_universe
@@ -289,6 +289,69 @@ def max_matching_reference(g: BipartiteGraph):
             if match_x[i] == 0:
                 dfs(i)
     return frozenset((i, match_x[i]) for i in range(1, n + 1) if match_x[i])
+
+
+# ---------------------------------------------------------------------------
+# Reference cycle-certificate check
+
+
+def _is_bipartite_vertex_reference(item, n):
+    return (
+        isinstance(item, tuple)
+        and len(item) == 2
+        and item[0] in ("x", "y")
+        and isinstance(item[1], int)
+        and not isinstance(item[1], bool)
+        and 1 <= item[1] <= n
+    )
+
+
+def check_cycle_reference(host, witness) -> bool:
+    """The per-host-kind certificate check that ``core.check_cycle`` must
+    match: one branch per host kind, each testing adjacency directly on the
+    vertex sequence rather than through ``CycleWitness.items``."""
+    if not isinstance(witness, CycleWitness):
+        return False
+    seq = witness.sequence
+    length = len(seq)
+
+    if isinstance(host, Digraph):
+        if witness.kind != DIGRAPH_CYCLE or length < 2:
+            return False
+        if any(not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= host.n for v in seq):
+            return False
+        if len(set(seq)) != length:
+            return False
+        arcs = host.arcs
+        return all((seq[i], seq[(i + 1) % length]) in arcs for i in range(length))
+
+    if isinstance(host, BipartiteGraph):
+        if witness.kind != GRAPH_CYCLE or length < 3:
+            return False
+        if any(not _is_bipartite_vertex_reference(v, host.n) for v in seq):
+            return False
+        if len(set(seq)) != length:
+            return False
+        edges = host.edges
+        for i in range(length):
+            a, b = seq[i], seq[(i + 1) % length]
+            if a[0] == b[0]:
+                return False
+            edge = (a[1], b[1]) if a[0] == "x" else (b[1], a[1])
+            if edge not in edges:
+                return False
+        return True
+
+    if isinstance(host, Graph):
+        if witness.kind != GRAPH_CYCLE or length < 3:
+            return False
+        if any(not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= host.n for v in seq):
+            return False
+        if len(set(seq)) != length:
+            return False
+        return all(host.has_edge(seq[i], seq[(i + 1) % length]) for i in range(length))
+
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,14 @@ class TestInputLimits:
         assert main(["ham" if kind == "D" else "conditions", str(path)]) == 3
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["D", "B", "G"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_header_below_one_exits_3(self, kind, n, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text(f"{kind} {n}\n")
+        assert main(["conditions", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: header size {n} is below 1 at line 1\n"
+
 
 # ---------------------------------------------------------------------------
 # Exit-code contract under fuzzed input

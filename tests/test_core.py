@@ -1,5 +1,8 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from zham import (
     DIGRAPH_CYCLE,
@@ -17,9 +20,17 @@ from zham import (
     degrees,
     format_bipartite_vertex,
 )
-from zham.verifier import enumerate_digraphs
+from zham.verifier import enumerate_bipartite, enumerate_digraphs, enumerate_graphs
 
-from brute import all_vertex_sequences, digraphs, directed_cycle_catalog, normalize_directed
+from brute import (
+    all_vertex_sequences,
+    bipartite_graphs,
+    check_cycle_reference,
+    digraphs,
+    directed_cycle_catalog,
+    graphs,
+    normalize_directed,
+)
 
 C3 = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
 K3 = build_digraph(3, [(u, v) for u in range(1, 4) for v in range(1, 4) if u != v])
@@ -78,6 +89,12 @@ class TestDegrees:
         per_vertex = degrees(d)
         assert sum(t[0] for t in per_vertex.values()) == len(d.arcs)
         assert sum(t[1] for t in per_vertex.values()) == len(d.arcs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_per_vertex_form(self, n):
+        for d in enumerate_digraphs(n):
+            expected = {v: (d.out_degree(v), d.in_degree(v), d.degree(v)) for v in d.vertices()}
+            assert degrees(d) == expected, d
 
 
 class TestGraph:
@@ -157,6 +174,86 @@ class TestCheckCycle:
                 expected = len(seq) >= 2 and normalize_directed(seq) in catalog
                 got = check_cycle(d, CycleWitness(DIGRAPH_CYCLE, seq))
                 assert got == expected, (d, seq)
+
+
+def _tokens(host):
+    """Candidate witness entries for ``host``: its own vertices, then
+    out-of-range, bool and other-kind entries."""
+    n = host.n
+    if isinstance(host, BipartiteGraph):
+        return list(host.vertices()) + [("x", 0), ("y", n + 1), ("x", True), ("z", 1), 1]
+    return list(host.vertices()) + [0, n + 1, True, ("x", 1)]
+
+
+def _witnesses(host, max_len):
+    """Every sequence of at most ``max_len`` tokens and every ordering of
+    distinct host vertices, each as both witness kinds.  Not deduplicated:
+    ``(True,) == (1,)``, and both must be tried."""
+    vertices = list(host.vertices())
+    seqs = [seq for k in range(max_len + 1) for seq in product(_tokens(host), repeat=k)]
+    seqs += [seq for k in range(2, len(vertices) + 1) for seq in permutations(vertices, k)]
+    return [CycleWitness(kind, seq) for kind in (DIGRAPH_CYCLE, GRAPH_CYCLE) for seq in seqs]
+
+
+_ENUMERATE = {
+    "digraph": enumerate_digraphs,
+    "graph": enumerate_graphs,
+    "bipartite": enumerate_bipartite,
+}
+
+
+class TestCheckCycleReference:
+    @pytest.mark.parametrize(
+        "kind, n, max_len",
+        [("digraph", n, 3) for n in (1, 2, 3)]
+        + [("digraph", 4, 2)]
+        + [("graph", n, 3) for n in (1, 2, 3, 4)]
+        + [("bipartite", n, 3) for n in (1, 2)],
+    )
+    def test_matches_reference_exhaustively(self, kind, n, max_len):
+        hosts = list(_ENUMERATE[kind](n))
+        witnesses = _witnesses(hosts[0], max_len)
+        for host in hosts:
+            for w in witnesses:
+                assert check_cycle(host, w) == check_cycle_reference(host, w), (host, w)
+
+    @given(
+        st.one_of(digraphs(max_n=5), graphs(max_n=5), bipartite_graphs(max_n=3)),
+        st.sampled_from([DIGRAPH_CYCLE, GRAPH_CYCLE]),
+        st.data(),
+    )
+    def test_matches_reference_on_random_hosts(self, host, kind, data):
+        vertices = list(host.vertices())
+        seq = data.draw(
+            st.one_of(
+                st.lists(st.sampled_from(_tokens(host)), max_size=len(vertices) + 1),
+                st.permutations(vertices).flatmap(
+                    lambda p: st.integers(0, len(p)).map(lambda k: p[:k])
+                ),
+            )
+        )
+        w = CycleWitness(kind, seq)
+        assert check_cycle(host, w) == check_cycle_reference(host, w)
+
+    @pytest.mark.parametrize(
+        "host",
+        [C3, ZK3, Graph(3, frozenset({(1, 2), (2, 3), (1, 3)})), None, 3, "D 3\n", Matching()],
+    )
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            None,
+            (1, 2, 3),
+            [1, 2, 3],
+            "123",
+            CycleWitness(DIGRAPH_CYCLE, (1, 2, 3)),
+            CycleWitness(GRAPH_CYCLE, ([1], [2], [3])),
+            CycleWitness(GRAPH_CYCLE, (("x", [1]), ("y", 1), ("x", 2))),
+            CycleWitness(["unhashable kind"], (1, 2, 3)),
+        ],
+    )
+    def test_never_raises(self, host, witness):
+        assert check_cycle(host, witness) is check_cycle_reference(host, witness)
 
 
 class TestWitnessItems:

@@ -5,6 +5,8 @@ from zham import (
     BipartiteGraph,
     Digraph,
     Graph,
+    GraphError,
+    Matching,
     ParseError,
     SelfLoopError,
     VertexRangeError,
@@ -73,6 +75,12 @@ class TestParse:
             parse_graph_text("D 3\n1 4\n")
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("kind", ["D", "B", "G"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_header_below_one_names_the_header_line(self, kind, n):
+        with pytest.raises(GraphError, match=f"^header size {n} is below 1 at line 2$"):
+            parse_graph_text(f"# no vertices\n{kind} {n}\n1 2\n")
+
 
 class TestSerialize:
     def test_canonical_triangle(self):
@@ -103,6 +111,13 @@ class TestSerialize:
         write_graph_file(path, d)
         assert path.read_bytes() == C3_TEXT.encode()
         assert parse_graph_file(path) == d
+
+
+@pytest.mark.parametrize("render", [serialize_graph, to_dot])
+@pytest.mark.parametrize("value", [None, C3_TEXT, Matching()])
+def test_non_graph_is_a_graph_error(render, value):
+    with pytest.raises(GraphError, match="^cannot (serialize|render) "):
+        render(value)
 
 
 class TestDot:

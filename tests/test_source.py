@@ -1,9 +1,21 @@
-"""Checks on the library's source text itself."""
+"""Checks on the library's source text itself.
+
+Run as a script (``python tests/test_source.py``) to print the code-line
+count of each module of ``src/zham`` and their total.
+"""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "zham"
+
+# tokens that hold no code of their own
+_LAYOUT = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+}
 
 
 def self_calling_functions(path):
@@ -21,6 +33,39 @@ def self_calling_functions(path):
     return found
 
 
+def code_lines(text):
+    """Numbers of the lines of Python source ``text`` that hold code.
+
+    A line holds code when a token other than a comment or layout touches it
+    (a multi-line token touches every line it spans) and it is not part of a
+    docstring: the string statement that opens a module, class or function
+    body.  Blank, comment and docstring lines therefore never count.
+    """
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in _LAYOUT:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return lines - docstrings
+
+
+def module_code_lines():
+    """Code-line count of each module of ``src/zham``, by file name."""
+    return {
+        path.name: len(code_lines(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
 def test_no_library_function_recurses():
     # recursion depth grows with the input, so any n beyond the interpreter's
     # recursion limit would end in RecursionError
@@ -31,3 +76,38 @@ def test_no_library_function_recurses():
 def test_the_check_sees_recursion():
     brute = Path(__file__).resolve().parent / "brute.py"
     assert sorted(self_calling_functions(brute)) == ["assign", "dfs", "extend"]
+
+
+COUNTED = '''\
+"""Module docstring
+on two lines."""
+
+import os  # a trailing comment leaves the line counted
+
+# a comment line
+
+
+def f(x):
+    """Docstring."""
+    s = """a string value
+on two lines"""
+    return (x +
+            1)
+
+
+class C:
+    "one-line docstring"
+
+    y = 1
+'''
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    assert sorted(code_lines(COUNTED)) == [4, 9, 11, 12, 13, 14, 17, 20]
+
+
+if __name__ == "__main__":
+    counts = module_code_lines()
+    for name, count in counts.items():
+        print(f"{name:<16}{count:>6,}")
+    print(f"{'total':<16}{sum(counts.values()):>6,}")

@@ -9,6 +9,7 @@ from zham import (
     CLAIMS,
     ESTABLISHED_CLAIM_IDS,
     CounterexampleStore,
+    Digraph,
     GraphError,
     StoreError,
     build_digraph,
@@ -27,9 +28,11 @@ from zham.verifier import (
     COUNTEREXAMPLE,
     HYPOTHESIS_MISS,
     PASS,
+    _instance_degrees,
     arc_universe,
     render_table,
 )
+from zham.core import format_bipartite_vertex
 
 C3 = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
 
@@ -239,6 +242,24 @@ class TestRunSuite:
         with pytest.raises(GraphError):
             run_suite(["thm-gz"], [2], mode="guess")
 
+    @pytest.mark.parametrize(
+        "enumerate_kind", [enumerate_digraphs, enumerate_bipartite, enumerate_graphs]
+    )
+    def test_counterexample_degrees_match_the_per_vertex_form(self, enumerate_kind):
+        for n in (1, 2, 3):
+            for instance in enumerate_kind(n):
+                if isinstance(instance, Digraph):
+                    expected = {
+                        str(v): [instance.out_degree(v), instance.in_degree(v), instance.degree(v)]
+                        for v in instance.vertices()
+                    }
+                else:
+                    expected = {}
+                    for v in instance.vertices():
+                        label = format_bipartite_vertex(v) if isinstance(v, tuple) else str(v)
+                        expected[label] = instance.degree(v)
+                assert _instance_degrees(instance) == expected, instance
+
     def test_counterexamples_stay_sorted(self):
         verdicts = run_suite(["mm-k"], [3])
         ces = verdicts[0].counterexamples
@@ -276,6 +297,12 @@ class TestStore:
 
         with pytest.raises(StoreError):
             store.append([Counterexample("mm-k", 3, "B 3\n", {})])
+
+    def test_non_utf8_store_is_a_store_error(self, tmp_path):
+        path = tmp_path / "ce.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(StoreError, match="cannot read store"):
+            CounterexampleStore(path).load()
 
     def test_corrupt_line_is_a_store_error(self, tmp_path):
         path = tmp_path / "ce.jsonl"
