@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: zmap, unzmap, ham, bipham, gham, match, pm2, conditions,
-pullback, pushforward, verify.  Machine output is JSON with sorted keys;
-exit codes carry the pass/fail semantics:
+pullback, pushforward, verify.  Machine output is JSON with sorted keys,
+written by ``verifier.dumps_indented``; exit codes carry the pass/fail
+semantics:
 
     0  decided (regardless of the boolean outcome)
     2  parse error (a file that is not UTF-8 included) or bad flags
@@ -18,7 +19,6 @@ wherever ``--budget`` is not given.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
@@ -53,6 +53,7 @@ from .verifier import (
     align_columns,
     build_report,
     disjoint_pair_json,
+    dumps_indented,
     established_failures,
     pullback_halves,
     render_table,
@@ -75,7 +76,7 @@ def _fail(message, code):
 
 
 def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(dumps_indented(payload))
 
 
 def _resolve_budget(flag_value):

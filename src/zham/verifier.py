@@ -9,6 +9,11 @@ counterexamples are first-class outputs, not failures.  Enumeration is over
 labeled instances in increasing bitmask order, so exhaustive runs are fully
 deterministic; random mode draws masks from a seeded generator in a fixed
 kind/size order.
+
+The store checks each line against the schema's store-line shape when it
+loads.  Every indented JSON output (the report here, each payload of the
+CLI) is written by ``dumps_indented``, byte-identical to the stdlib's
+``json.dumps(..., sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -675,8 +680,40 @@ def build_report(verdicts, *, mode, seed=None, samples=None, n_values=(), budget
     }
 
 
+def dumps_indented(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte,
+    written by orjson's C encoder (the stdlib's indenting encoder is pure
+    Python).
+
+    The stdlib call runs instead when orjson refuses the payload (an int
+    past 64 bits, a non-str key, a lone surrogate, nesting past 254 levels,
+    a dataclass, datetime or subclass) or writes bytes that ``ensure_ascii``
+    would escape (non-ASCII text, DEL).  orjson differs from the stdlib
+    without refusing only on floats, which the schema keeps out of every
+    output, and on enum members and UUIDs, which no output holds.  It is
+    imported on first use, keeping it and the modules it loads out of
+    ``import zham``.
+    """
+    import orjson
+
+    options = (
+        orjson.OPT_INDENT_2
+        | orjson.OPT_SORT_KEYS
+        | orjson.OPT_PASSTHROUGH_DATACLASS
+        | orjson.OPT_PASSTHROUGH_DATETIME
+        | orjson.OPT_PASSTHROUGH_SUBCLASS
+    )
+    try:
+        out = orjson.dumps(payload, option=options)
+    except TypeError:
+        out = None
+    if out is None or not out.isascii() or b"\x7f" in out:
+        return json.dumps(payload, sort_keys=True, indent=2)
+    return out.decode()
+
+
 def report_json(report) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return dumps_indented(report) + "\n"
 
 
 def render_table(verdicts) -> str:
@@ -753,10 +790,42 @@ class CounterexampleStore:
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StoreError(f"bad store line {line_no}: {exc}") from exc
+            problem = _store_line_problem(record)
+            if problem is not None:
+                raise StoreError(f"bad store line {line_no}: {problem}")
+            records.append(record)
         return records
+
+
+# the storeLine shape of schemas/cli-output.schema.json: key -> accepted types
+_STORE_LINE = {
+    "claim_id": str,
+    "n": int,
+    "instance": str,
+    "details": dict,
+    "tool_version": str,
+    "rng_seed": (int, type(None)),
+}
+
+
+def _store_line_problem(record):
+    """Why a decoded line is not a store line, or None when it is one."""
+    if not isinstance(record, dict):
+        return f"expected an object, got {type(record).__name__}"
+    if record.keys() != _STORE_LINE.keys():
+        missing = sorted(_STORE_LINE.keys() - record.keys())
+        extra = sorted(record.keys() - _STORE_LINE.keys())
+        return f"missing keys {missing}, unexpected keys {extra}"
+    for key, kinds in _STORE_LINE.items():
+        value = record[key]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            return f"{key} has type {type(value).__name__}"
+    if record["n"] < 1:
+        return f"n is {record['n']}, below 1"
+    return None
 
 
 def reverify_record(record, budget=None) -> bool:

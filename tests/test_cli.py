@@ -486,3 +486,26 @@ def test_any_input_exits_with_a_documented_code(data, command):
     assert code in (0, 2, 3, 4), (code, err.getvalue())
     if code in (2, 3):
         assert err.getvalue().startswith("error:")
+
+
+def test_schema_admits_no_floats():
+    # every output validates against the schema and is written by
+    # verifier.dumps_indented, whose C encoder spells floats unlike the
+    # stdlib (1e+16, NaN) without falling back; no "number" keeps them out
+    pending = [json.loads(SCHEMA_PATH.read_text())]
+    types = []
+    while pending:
+        node = pending.pop()
+        if isinstance(node, dict):
+            kind = node.get("type")
+            types.extend(kind if isinstance(kind, list) else [kind])
+            pending.extend(node.values())
+        elif isinstance(node, list):
+            pending.extend(node)
+    assert "integer" in types
+    assert "number" not in types
+
+
+def test_store_load_checks_the_schema_store_line_keys():
+    line = json.loads(SCHEMA_PATH.read_text())["$defs"]["storeLine"]
+    assert set(line["required"]) == set(line["properties"]) == set(verifier._STORE_LINE)

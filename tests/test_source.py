@@ -33,6 +33,30 @@ def self_calling_functions(path):
     return found
 
 
+def indented_json_writers(text):
+    """Names of the innermost functions in Python source ``text`` that call
+    ``json.dumps`` with an ``indent`` argument (``<module>`` for a call
+    outside any function), one per call."""
+    tree = ast.parse(text)
+    functions = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    found = []
+    for call in ast.walk(tree):
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "dumps"
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "json"
+            and any(kw.arg == "indent" for kw in call.keywords)
+        ):
+            enclosing = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
+            found.append(max(enclosing, key=lambda f: f.lineno).name if enclosing else "<module>")
+    return found
+
+
 def code_lines(text):
     """Numbers of the lines of Python source ``text`` that hold code.
 
@@ -76,6 +100,39 @@ def test_no_library_function_recurses():
 def test_the_check_sees_recursion():
     brute = Path(__file__).resolve().parent / "brute.py"
     assert sorted(self_calling_functions(brute)) == ["assign", "dfs", "extend"]
+
+
+def test_one_function_writes_indented_json():
+    # every indented output goes through verifier.dumps_indented, whose C
+    # encoder is byte-identical to this stdlib call it falls back to
+    writers = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in indented_json_writers(path.read_text(encoding="utf-8"))
+    }
+    assert writers == {"verifier.dumps_indented"}
+
+
+WRITERS = '''\
+import json
+
+print(json.dumps({}, indent=1))
+
+
+def emit(payload):
+    print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def report(payload):
+    def inner():
+        return json.dumps(payload, indent=2)
+
+    return inner() + json.dumps(payload, sort_keys=True)
+'''
+
+
+def test_the_check_sees_indented_json_writers():
+    assert indented_json_writers(WRITERS) == ["<module>", "emit", "inner"]
 
 
 COUNTED = '''\

@@ -1,13 +1,16 @@
+import datetime
 import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import brute
 from brute import bipartite_graphs, digraphs, graphs
 from zham import (
     CLAIMS,
     ESTABLISHED_CLAIM_IDS,
+    Counterexample,
     CounterexampleStore,
     Digraph,
     GraphError,
@@ -30,6 +33,7 @@ from zham.verifier import (
     PASS,
     _instance_degrees,
     arc_universe,
+    dumps_indented,
     render_table,
 )
 from zham.core import format_bipartite_vertex
@@ -293,8 +297,6 @@ class TestStore:
 
     def test_unwritable_store_is_a_store_error(self, tmp_path):
         store = CounterexampleStore(tmp_path)  # a directory, not a file
-        from zham import Counterexample
-
         with pytest.raises(StoreError):
             store.append([Counterexample("mm-k", 3, "B 3\n", {})])
 
@@ -309,6 +311,51 @@ class TestStore:
         path.write_text("{not json}\n")
         with pytest.raises(StoreError):
             CounterexampleStore(path).load()
+
+    @pytest.mark.parametrize(
+        "line,problem",
+        [
+            ("[1, 2]", "expected an object, got list"),
+            ('{"claim_id": "mm-k"}', "missing keys"),
+        ],
+    )
+    def test_line_of_the_wrong_shape_is_a_store_error(self, tmp_path, line, problem):
+        path = tmp_path / "ce.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(StoreError, match=f"bad store line 1: {problem}"):
+            CounterexampleStore(path).load()
+
+    @pytest.mark.parametrize(
+        "key,value,problem",
+        [
+            ("instance", 5, "instance has type int"),
+            ("claim_id", None, "claim_id has type NoneType"),
+            ("details", [], "details has type list"),
+            ("tool_version", 1, "tool_version has type int"),
+            ("rng_seed", "7", "rng_seed has type str"),
+            ("rng_seed", True, "rng_seed has type bool"),
+            ("n", True, "n has type bool"),
+            ("n", 3.0, "n has type float"),
+            ("n", 0, "n is 0, below 1"),
+            ("extra", 1, r"missing keys \[\], unexpected keys \['extra'\]"),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_a_store_error(self, tmp_path, key, value, problem):
+        good = {
+            "claim_id": "mm-k", "n": 3, "instance": "B 3\n", "details": {},
+            "tool_version": "0.1.0", "rng_seed": None,
+        }
+        path = tmp_path / "ce.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
+        with pytest.raises(StoreError, match=f"bad store line 2: {problem}"):
+            CounterexampleStore(path).load()
+
+    def test_seeded_random_store_loads_and_reverifies(self, tmp_path):
+        store_path = tmp_path / "ce.jsonl"
+        run_suite(["mm-k"], [3], mode="random", samples=200, seed=7, store_path=store_path)
+        records = CounterexampleStore(store_path).load()
+        assert records
+        assert all(r["rng_seed"] == 7 and reverify_record(r) for r in records)
 
     def test_stored_instances_reverify_with_fresh_solvers(self, tmp_path):
         store_path = tmp_path / "zhu.jsonl"
@@ -341,3 +388,82 @@ class TestReport:
         table = render_table(verdicts)
         assert "thm-gz" in table and "mm-k" in table
         assert "FALSIFIED" in table  # mm-k fails at n=3
+
+
+def _stdlib_indented(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+# text drawn from all of Unicode, lone surrogates included, with the
+# characters whose escapes differ between encoders drawn more often; ASCII
+# text (DEL included) keeps the C path busy, since any other character sends
+# a payload to the stdlib
+_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from("\x00\x1f\x7f\u2028\u2029\U000103ff\ud800\"\\/"),
+    )
+) | st.text(st.characters(max_codepoint=0x7F))
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _TEXT,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(_TEXT, children)
+    ),
+    max_leaves=40,
+)
+
+
+def _nested(depth, wrap):
+    payload = 0
+    for _ in range(depth):
+        payload = wrap(payload)
+    return payload
+
+
+class TestDumpsIndented:
+    @given(_PAYLOADS)
+    def test_matches_the_stdlib_byte_for_byte(self, payload):
+        assert dumps_indented(payload) == _stdlib_indented(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(2**64, id="2**64"),
+            pytest.param(-(2**63) - 1, id="-2**63-1"),
+            pytest.param({"budget": 10**30}, id="budget-10**30"),
+            pytest.param({1: "a", 2: ["b"]}, id="int-keys"),
+            pytest.param(_nested(300, lambda p: [p]), id="300-nested-lists"),
+            pytest.param(_nested(300, lambda p: {"k": p}), id="300-nested-dicts"),
+            pytest.param("é", id="e-acute"),
+            pytest.param({"é": 1}, id="e-acute-key"),
+            pytest.param("\x7f", id="DEL"),
+            pytest.param("\ud800", id="lone-surrogate"),
+            pytest.param({"a": {}, "b": [], "c": [[]]}, id="empty-containers"),
+        ],
+    )
+    def test_matches_the_stdlib_on_pinned_cases(self, payload):
+        assert dumps_indented(payload) == _stdlib_indented(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [Counterexample("mm-k", 3, "B 3\n", {}), {1, 2}, datetime.datetime(2000, 1, 1)],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_unsupported_values_raise_type_error_like_the_stdlib(self, payload):
+        with pytest.raises(TypeError):
+            _stdlib_indented(payload)
+        with pytest.raises(TypeError):
+            dumps_indented({"value": payload})
+
+    def test_the_report_never_reaches_the_stdlib_encoder(self, monkeypatch):
+        verdicts = run_suite(["mm-k", "thm-gz"], [3])
+        report = build_report(verdicts, mode="exhaustive", n_values=[3])
+        expected = _stdlib_indented(report) + "\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stdlib encoder ran")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert report_json(report) == expected
