@@ -24,20 +24,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .conditions import (
-    CONDITION_IDS,
-    dirac,
-    disjoint_hc_degree,
-    faudree,
-    ghouila_houri,
-    las_vergnas,
-    moon_moser_half,
-    moon_moser_k,
-    ore_bipartite,
-    woodall,
-    woodall_plus2,
-    zhu_digraph,
-)
+from .conditions import CONDITION_IDS, build_registry
 from .core import BipartiteGraph, Digraph, Graph, GraphError, pairs_json, witness_json
 from .fileio import ParseError, parse_graph_file, serialize_graph, to_dot
 from .solvers import (
@@ -163,20 +150,19 @@ def _cmd_pm2(args):
     return EXIT_BUDGET if result.exhausted else EXIT_OK
 
 
-_DIGRAPH_CONDITIONS = {
-    "ghouila-houri": ghouila_houri,
-    "zhu": zhu_digraph,
-    "cor1-disjoint-hc": disjoint_hc_degree,
-    "woodall": woodall,
-    "cor2-woodall-plus2": woodall_plus2,
-}
-_BIPARTITE_CONDITIONS = {
-    "moon-moser-half": moon_moser_half,
-    "las-vergnas": las_vergnas,
-    "cor3-ore-pm": lambda g: ore_bipartite(g, g.n),
-    "cor3-ore-2pm": lambda g: ore_bipartite(g, g.n + 2),
-}
-_GRAPH_CONDITIONS = {"dirac": dirac, "faudree": faudree}
+def _registry_table(kind):
+    """The registry's conditions on ``kind`` input, moon-moser-k aside (it
+    also takes k), in registry order."""
+    return {
+        cid: predicate
+        for cid, (of_kind, predicate) in build_registry().items()
+        if of_kind == kind and cid != "moon-moser-k"
+    }
+
+
+_DIGRAPH_CONDITIONS = _registry_table("digraph")
+_BIPARTITE_CONDITIONS = _registry_table("bipartite")
+_GRAPH_CONDITIONS = _registry_table("graph")
 
 
 def _conditions_for(obj, condition_id, k):
@@ -187,16 +173,21 @@ def _conditions_for(obj, condition_id, k):
     else:
         table, has_mmk = _GRAPH_CONDITIONS, False
 
-    if condition_id in table:
-        return [table[condition_id](obj)]
-    if condition_id not in (None, "moon-moser-k"):
+    if condition_id not in table and condition_id not in (None, "moon-moser-k"):
         raise GraphError(
             f"condition {condition_id!r} does not apply to this input kind"
         )
-    if condition_id is not None and not has_mmk:
+    if condition_id == "moon-moser-k" and not has_mmk:
         raise GraphError("moon-moser-k applies to bipartite input only")
+    if k is not None and (condition_id in table or not has_mmk):
+        raise GraphError(
+            "--k is read by moon-moser-k only; this request runs no moon-moser-k report"
+        )
+    if condition_id in table:
+        return [table[condition_id](obj)]
     reports = [fn(obj) for fn in table.values()] if condition_id is None else []
     if has_mmk:
+        _, moon_moser_k = build_registry()["moon-moser-k"]
         ks = range(2, obj.n) if k is None else (k,)
         reports += [moon_moser_k(obj, kk) for kk in ks]
         if condition_id is not None and not reports:

@@ -16,6 +16,10 @@ its violators as one sequence in a fixed order, decides
 whole sequence only when ``violating_items`` is first read.  Degrees come
 from ``core.degree_table``, one table per instance, memoised on it like
 strong connectivity.
+
+``build_registry`` is the one place that binds a condition id to its
+instance kind and predicate; the CLI's condition tables and the verifier's
+condition claims are read from it.
 """
 
 from __future__ import annotations
@@ -25,21 +29,6 @@ from operator import attrgetter
 
 from .core import BipartiteGraph, Digraph, Graph, GraphError, degree_table
 from .solvers import strongly_connected
-
-CONDITION_IDS = (
-    "dirac",
-    "ghouila-houri",
-    "faudree",
-    "zhu",
-    "moon-moser-k",
-    "moon-moser-half",
-    "cor1-disjoint-hc",
-    "las-vergnas",
-    "woodall",
-    "cor2-woodall-plus2",
-    "cor3-ore-pm",
-    "cor3-ore-2pm",
-)
 
 NOT_STRONG = {"reason": "not strongly connected"}
 
@@ -348,3 +337,32 @@ def _cross_pair_deficits(g, threshold):
                     yield {"pair": [labels[i - 1], labels[n + j - 1]], "degree_sum": total}
 
     return violators
+
+
+def build_registry() -> dict:
+    """The condition registry: condition id -> (instance kind, predicate),
+    in ``CONDITION_IDS`` order.  The kinds are "digraph", "bipartite" and
+    "graph"; each predicate takes one instance, except ``moon_moser_k``,
+    which also takes k.
+
+    The predicates are looked up by their names in this module when the
+    registry is built (the two ore thresholds when they run), so a rebuilt
+    registry picks up any predicate rebound since import.
+    """
+    return {
+        "dirac": ("graph", dirac),
+        "ghouila-houri": ("digraph", ghouila_houri),
+        "faudree": ("graph", faudree),
+        "zhu": ("digraph", zhu_digraph),
+        "moon-moser-k": ("bipartite", moon_moser_k),
+        "moon-moser-half": ("bipartite", moon_moser_half),
+        "cor1-disjoint-hc": ("digraph", disjoint_hc_degree),
+        "las-vergnas": ("bipartite", las_vergnas),
+        "woodall": ("digraph", woodall),
+        "cor2-woodall-plus2": ("digraph", woodall_plus2),
+        "cor3-ore-pm": ("bipartite", lambda g: ore_bipartite(g, g.n)),
+        "cor3-ore-2pm": ("bipartite", lambda g: ore_bipartite(g, g.n + 2)),
+    }
+
+
+CONDITION_IDS = tuple(build_registry())

@@ -135,11 +135,13 @@ class Graph:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             cleaned.add((u, v) if u < v else (v, u))
         adj = [[] for _ in range(n + 1)]
+        # in sorted edge order each row gets its smaller neighbours, then its
+        # larger ones, both ascending: every row comes out sorted
         for u, v in sorted(cleaned):
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "edges", frozenset(cleaned))
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -188,7 +190,7 @@ class BipartiteGraph:
             adj_y[j].append(i)
         object.__setattr__(self, "edges", frozenset(cleaned))
         object.__setattr__(self, "_adj_x", tuple(map(tuple, adj_x)))
-        object.__setattr__(self, "_adj_y", tuple(tuple(sorted(a)) for a in adj_y))
+        object.__setattr__(self, "_adj_y", tuple(map(tuple, adj_y)))
 
     def neighbors_x(self, i):
         """y-indices adjacent to x_i, ascending."""

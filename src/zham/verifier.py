@@ -24,19 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._version import __version__
-from .conditions import (
-    dirac,
-    disjoint_hc_degree,
-    faudree,
-    ghouila_houri,
-    las_vergnas,
-    moon_moser_half,
-    moon_moser_k,
-    ore_bipartite,
-    woodall,
-    woodall_plus2,
-    zhu_digraph,
-)
+from .conditions import build_registry
 from .core import (
     BipartiteGraph,
     Digraph,
@@ -311,9 +299,14 @@ def _pullback_conclusion(d, budget):
     return factors, halves
 
 
-def _mm_k_hypothesis(g, budget):
-    holding = [k for k in range(2, g.n) if moon_moser_k(g, k).hypothesis_holds]
-    return bool(holding), {"holding_k": holding, "n": g.n}
+def _mm_k_hypothesis(moon_moser_k):
+    """Hypothesis "``moon_moser_k`` holds for some admissible k"."""
+
+    def hypothesis(g, budget):
+        holding = [k for k in range(2, g.n) if moon_moser_k(g, k).hypothesis_holds]
+        return bool(holding), {"holding_k": holding, "n": g.n}
+
+    return hypothesis
 
 
 def disjoint_pair_json(result):
@@ -361,13 +354,28 @@ def _lv_conclusion(g, budget):
 def build_claims() -> dict:
     """The claim registry, keyed and ordered by claim id.
 
-    The conclusions bind the solvers this module names when it runs, so a
-    rebuilt registry picks up any solver rebound since import.
+    A condition claim takes its hypothesis predicate and instance kind from
+    ``conditions.build_registry``.  The predicates and solvers are bound
+    when this runs, so a rebuilt registry picks up any rebound since import.
     """
-    digraph_ham = _ham_conclusion(find_hamiltonian_cycle)
-    bipartite_ham = _ham_conclusion(find_hamiltonian_cycle_bipartite)
-    graph_ham = _ham_conclusion(find_hamiltonian_cycle_undirected)
+    registry = build_registry()
+    ham = {
+        "digraph": _ham_conclusion(find_hamiltonian_cycle),
+        "bipartite": _ham_conclusion(find_hamiltonian_cycle_bipartite),
+        "graph": _ham_conclusion(find_hamiltonian_cycle_undirected),
+    }
     two_cycles = _disjoint_pair_conclusion(find_two_disjoint_hamiltonian_cycles)
+
+    def on(condition_id, claim_id, established, description, conclusion=None, hypothesis=None):
+        """Claim ``claim_id``, whose hypothesis is condition ``condition_id``
+        (``_condition_hypothesis`` unless ``hypothesis`` is given); its
+        conclusion defaults to "the instance is Hamiltonian"."""
+        kind, predicate = registry[condition_id]
+        hypothesis = (hypothesis or _condition_hypothesis)(predicate)
+        return Claim(
+            claim_id, kind, established, description, hypothesis, conclusion or ham[kind]
+        )
+
     claims = [
         Claim(
             "thm-zg",
@@ -375,7 +383,7 @@ def build_claims() -> dict:
             False,
             "strong and bipartite image Hamiltonian => digraph Hamiltonian",
             _thm_zg_hypothesis,
-            digraph_ham,
+            ham["digraph"],
         ),
         Claim(
             "thm-gz",
@@ -393,104 +401,62 @@ def build_claims() -> dict:
             _pullback_hypothesis,
             _pullback_conclusion,
         ),
-        Claim(
-            "dirac",
-            "graph",
-            True,
-            "dirac degree bound => graph Hamiltonian",
-            _condition_hypothesis(dirac),
-            graph_ham,
-        ),
-        Claim(
-            "ghouila",
-            "digraph",
-            True,
-            "ghouila-houri degree bound => digraph Hamiltonian",
-            _condition_hypothesis(ghouila_houri),
-            digraph_ham,
-        ),
-        Claim(
-            "faudree",
-            "graph",
-            False,
-            "faudree low-degree count => graph Hamiltonian",
-            _condition_hypothesis(faudree),
-            graph_ham,
-        ),
-        Claim(
-            "zhu",
-            "digraph",
-            False,
-            "digraph low-degree count => digraph Hamiltonian",
-            _condition_hypothesis(zhu_digraph),
-            digraph_ham,
-        ),
-        Claim(
+        on("dirac", "dirac", True, "dirac degree bound => graph Hamiltonian"),
+        on("ghouila-houri", "ghouila", True, "ghouila-houri degree bound => digraph Hamiltonian"),
+        on("faudree", "faudree", False, "faudree low-degree count => graph Hamiltonian"),
+        on("zhu", "zhu", False, "digraph low-degree count => digraph Hamiltonian"),
+        on(
+            "moon-moser-k",
             "mm-k",
-            "bipartite",
             False,
             "some admissible k passes the moon-moser-k count => bipartite Hamiltonian",
-            _mm_k_hypothesis,
-            bipartite_ham,
+            hypothesis=_mm_k_hypothesis,
         ),
-        Claim(
+        on(
+            "moon-moser-half",
             "mm-half",
-            "bipartite",
             True,
             "moon-moser half-degree bound => bipartite Hamiltonian",
-            _condition_hypothesis(moon_moser_half),
-            bipartite_ham,
         ),
-        Claim(
+        on(
+            "cor1-disjoint-hc",
             "cor1",
-            "digraph",
             False,
             "half-degree in/out bounds => two arc-disjoint Hamiltonian cycles",
-            _condition_hypothesis(disjoint_hc_degree),
             two_cycles,
         ),
-        Claim(
+        on(
+            "las-vergnas",
             "lv",
-            "bipartite",
             True,
             "las-vergnas pair bound => every perfect matching extends to a Hamiltonian cycle",
-            _condition_hypothesis(las_vergnas),
             _lv_conclusion,
         ),
-        Claim(
-            "woodall",
-            "digraph",
-            True,
-            "woodall pair bound => digraph Hamiltonian",
-            _condition_hypothesis(woodall),
-            digraph_ham,
-        ),
-        Claim(
+        on("woodall", "woodall", True, "woodall pair bound => digraph Hamiltonian"),
+        on(
+            "cor2-woodall-plus2",
             "cor2",
-            "digraph",
             False,
             "woodall pair bound plus two => two arc-disjoint Hamiltonian cycles",
-            _condition_hypothesis(woodall_plus2),
             two_cycles,
         ),
-        Claim(
+        on(
+            "cor3-ore-pm",
             "cor3a",
-            "bipartite",
             False,
             "ore pair bound (n) => perfect matching exists",
-            _condition_hypothesis(lambda g: ore_bipartite(g, g.n)),
             _perfect_matching_conclusion,
         ),
-        Claim(
+        on(
+            "cor3-ore-2pm",
             "cor3b",
-            "bipartite",
             False,
             "ore pair bound (n+2) => two edge-disjoint perfect matchings",
-            _condition_hypothesis(lambda g: ore_bipartite(g, g.n + 2)),
             _disjoint_pair_conclusion(find_two_disjoint_perfect_matchings),
         ),
     ]
     return {c.claim_id: c for c in claims}
+
 
 CLAIMS = build_claims()
 ESTABLISHED_CLAIM_IDS = frozenset(c.claim_id for c in CLAIMS.values() if c.established)
@@ -562,9 +528,10 @@ def run_suite(
     """Sweep every requested claim over every instance size in ``n_values``.
 
     Exhaustive mode enumerates all labeled instances; random mode draws
-    ``samples`` instances per size from a generator seeded with ``seed``
-    (kinds are processed digraph, bipartite, graph and sizes ascending, so
-    the draw order is reproducible).  Exhaustive mode raises GraphError
+    ``samples`` instances per size from a generator seeded with ``seed``,
+    each mask as its instance is checked (kinds are processed digraph,
+    bipartite, graph and sizes ascending, so the draw order is
+    reproducible).  Exhaustive mode raises GraphError
     before any work when a requested size exceeds its kind's cap
     (``MAX_DIGRAPH_N``, ``MAX_BIPARTITE_N``, ``MAX_GRAPH_N``); random mode
     has no cap.  Counterexamples are appended to ``store_path`` when given.
@@ -593,7 +560,7 @@ def run_suite(
                 masks = range(1 << len(universe))
             else:
                 bits = len(universe)
-                masks = [rng.getrandbits(bits) if bits else 0 for _ in range(samples)]
+                masks = (rng.getrandbits(bits) if bits else 0 for _ in range(samples))
             for mask in masks:
                 instance = from_mask(n, mask, universe)
                 for claim in kind_claims:

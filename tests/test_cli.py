@@ -268,6 +268,20 @@ class TestConditionsCommand:
         path.write_text("B 3\n1 1\n")
         assert main(["conditions", str(path), "--id", "moon-moser-k", "--k", "9"]) == 3
 
+    def test_k_on_digraph_input_exits_3(self, c3_file, capsys):
+        assert main(["conditions", c3_file, "--k", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k is read by moon-moser-k only" in captured.err
+
+    def test_k_beside_another_id_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "k33.txt"
+        path.write_text("B 3\n" + "".join(f"{i} {j}\n" for i in (1, 2, 3) for j in (1, 2, 3)))
+        assert main(["conditions", str(path), "--id", "las-vergnas", "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k is read by moon-moser-k only" in captured.err
+
     def test_table_format(self, c3_file, capsys):
         assert main(["conditions", c3_file, "--format", "table"]) == 0
         out = capsys.readouterr().out

@@ -23,7 +23,8 @@ import pickle
 import sys
 import threading
 
-from zham.conditions import CONDITION_IDS, ConditionReport
+from zham import conditions, verifier
+from zham.conditions import CONDITION_IDS, ConditionReport, build_registry
 from zham.verifier import enumerate_bipartite, enumerate_digraphs, enumerate_graphs
 
 import brute
@@ -371,37 +372,40 @@ def test_bipartite_conditions_are_monotone_under_edge_addition(g, rng):
 # Lazy predicates against the eager reference bodies
 
 
+# the eager reference of each registry entry, keyed by condition id
+_REFERENCES = {
+    "dirac": brute.dirac_reference,
+    "ghouila-houri": brute.ghouila_houri_reference,
+    "faudree": brute.faudree_reference,
+    "zhu": brute.zhu_reference,
+    "moon-moser-k": brute.moon_moser_k_reference,
+    "moon-moser-half": brute.moon_moser_half_reference,
+    "cor1-disjoint-hc": brute.disjoint_hc_degree_reference,
+    "las-vergnas": brute.las_vergnas_reference,
+    "woodall": brute.woodall_reference,
+    "cor2-woodall-plus2": brute.woodall_plus2_reference,
+    "cor3-ore-pm": lambda g: brute.ore_bipartite_reference(g, g.n),
+    "cor3-ore-2pm": lambda g: brute.ore_bipartite_reference(g, g.n + 2),
+}
+_KINDS = {Digraph: "digraph", BipartiteGraph: "bipartite", Graph: "graph"}
+
+
 def _condition_pairs(instance):
-    """(condition id, report, reference report) for every condition that
-    applies to ``instance``, moon-moser-k once per admissible k."""
-    if isinstance(instance, Digraph):
-        table = [
-            ("ghouila-houri", ghouila_houri, brute.ghouila_houri_reference),
-            ("zhu", zhu_digraph, brute.zhu_reference),
-            ("cor1-disjoint-hc", disjoint_hc_degree, brute.disjoint_hc_degree_reference),
-            ("woodall", woodall, brute.woodall_reference),
-            ("cor2-woodall-plus2", woodall_plus2, brute.woodall_plus2_reference),
-        ]
-    elif isinstance(instance, Graph):
-        table = [
-            ("dirac", dirac, brute.dirac_reference),
-            ("faudree", faudree, brute.faudree_reference),
-        ]
-    else:
-        n = instance.n
-        table = [
-            ("moon-moser-half", moon_moser_half, brute.moon_moser_half_reference),
-            ("las-vergnas", las_vergnas, brute.las_vergnas_reference),
-            ("cor3-ore-pm", lambda g: ore_bipartite(g, n),
-             lambda g: brute.ore_bipartite_reference(g, n)),
-            ("cor3-ore-2pm", lambda g: ore_bipartite(g, n + 2),
-             lambda g: brute.ore_bipartite_reference(g, n + 2)),
-        ] + [
-            ("moon-moser-k", lambda g, k=k: moon_moser_k(g, k),
-             lambda g, k=k: brute.moon_moser_k_reference(g, k))
-            for k in range(2, n)
-        ]
-    return [(cid, fn(instance), ref(instance)) for cid, fn, ref in table]
+    """(condition id, report, reference report) for every registry entry
+    whose kind is ``instance``'s, moon-moser-k once per admissible k."""
+    pairs = []
+    for cid, (kind, predicate) in build_registry().items():
+        if kind != _KINDS[type(instance)]:
+            continue
+        reference = _REFERENCES[cid]
+        if cid == "moon-moser-k":
+            pairs += [
+                (cid, predicate(instance, k), reference(instance, k))
+                for k in range(2, instance.n)
+            ]
+        else:
+            pairs.append((cid, predicate(instance), reference(instance)))
+    return pairs
 
 
 def _assert_matches_reference(instance):
@@ -431,6 +435,29 @@ def test_every_condition_matches_the_eager_reference_exhaustively():
     for instance in _exhaustive_instances():
         seen |= _assert_matches_reference(instance)
     assert seen == set(CONDITION_IDS)
+
+
+def test_the_registry_lists_each_condition_once_with_its_kind():
+    registry = build_registry()
+    assert tuple(registry) == CONDITION_IDS
+    assert registry.keys() == _REFERENCES.keys()
+    assert {kind for kind, _ in registry.values()} == set(_KINDS.values())
+
+
+def test_a_rebuilt_registry_and_claim_set_see_a_rebound_predicate(monkeypatch):
+    calls = []
+    original = conditions.dirac
+
+    def fake(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(conditions, "dirac", fake)
+    assert build_registry()["dirac"] == ("graph", fake)
+    claim = verifier.build_claims()["dirac"]
+    g = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
+    assert verifier.check_claim(claim, g)[0] == verifier.PASS
+    assert calls == [g]
 
 
 @given(digraphs(max_n=6))

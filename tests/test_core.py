@@ -285,3 +285,36 @@ class TestMatching:
         assert not Matching(frozenset({(1, 2)})).is_perfect(z_c3)
         stranger = Matching(frozenset({(1, 1), (2, 2), (3, 3)}))
         assert not stranger.is_perfect(z_c3)
+
+
+def _ascending(row):
+    return all(a < b for a, b in zip(row, row[1:]))
+
+
+class TestAdjacencyRows:
+    """Every adjacency row is strictly ascending and holds exactly the
+    vertex's neighbours, whatever order the edges were given in."""
+
+    @given(digraphs(max_n=7))
+    def test_digraph_rows(self, d):
+        for u in range(d.n + 1):
+            assert _ascending(d.successors(u))
+            assert _ascending(d.predecessors(u))
+            assert set(d.successors(u)) == {v for a, v in d.arcs if a == u}
+            assert set(d.predecessors(u)) == {a for a, v in d.arcs if v == u}
+
+    @given(graphs(max_n=7))
+    def test_graph_rows(self, g):
+        for u in range(g.n + 1):
+            assert _ascending(g.neighbors(u))
+            assert set(g.neighbors(u)) == {b for a, b in g.edges if a == u} | {
+                a for a, b in g.edges if b == u
+            }
+
+    @given(bipartite_graphs(max_n=6))
+    def test_bipartite_rows(self, g):
+        for i in range(g.n + 1):
+            assert _ascending(g.neighbors_x(i))
+            assert _ascending(g.neighbors_y(i))
+            assert set(g.neighbors_x(i)) == {j for a, j in g.edges if a == i}
+            assert set(g.neighbors_y(i)) == {a for a, j in g.edges if j == i}

@@ -57,6 +57,19 @@ def indented_json_writers(text):
     return found
 
 
+def names_imported_from(text, module):
+    """Names that Python source ``text`` imports from the zham module
+    ``module`` (``from .module import ...`` or ``from zham.module import
+    ...``), in the order ``ast.walk`` visits the imports."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, module), (0, f"zham.{module}"))
+        for alias in node.names
+    ]
+
+
 def code_lines(text):
     """Numbers of the lines of Python source ``text`` that hold code.
 
@@ -133,6 +146,40 @@ def report(payload):
 
 def test_the_check_sees_indented_json_writers():
     assert indented_json_writers(WRITERS) == ["<module>", "emit", "inner"]
+
+
+# the condition registry's public face: every other name a module imports
+# from conditions would bind a condition id to a predicate a second time
+REGISTRY_NAMES = {"CONDITION_IDS", "build_registry"}
+
+
+def test_only_the_registry_binds_conditions():
+    extra = {}
+    for name in ("cli.py", "verifier.py"):
+        imported = names_imported_from((SRC / name).read_text(encoding="utf-8"), "conditions")
+        extra[name] = [n for n in imported if n not in REGISTRY_NAMES]
+    assert extra == {"cli.py": [], "verifier.py": []}
+
+
+IMPORTS = '''\
+from .conditions import CONDITION_IDS, dirac
+from .conditions import (
+    build_registry,
+    woodall,
+)
+from zham.conditions import faudree
+from .core import Graph
+
+
+def f():
+    from .conditions import zhu_digraph
+'''
+
+
+def test_the_check_sees_condition_imports():
+    assert names_imported_from(IMPORTS, "conditions") == [
+        "CONDITION_IDS", "dirac", "build_registry", "woodall", "faudree", "zhu_digraph",
+    ]
 
 
 COUNTED = '''\

@@ -1,5 +1,7 @@
 import datetime
 import json
+import random
+import types
 
 import pytest
 from hypothesis import given
@@ -24,6 +26,7 @@ from zham import (
     report_json,
     reverify_record,
     run_suite,
+    verifier,
     zmap,
 )
 from zham.verifier import (
@@ -217,6 +220,25 @@ class TestRunSuite:
         first = run_suite(["thm-zg", "mm-half"], **kwargs)
         second = run_suite(["thm-zg", "mm-half"], **kwargs)
         assert first == second
+
+    def test_random_mode_draws_each_mask_as_it_is_checked(self, monkeypatch):
+        events = []
+
+        class CountingRandom(random.Random):
+            def getrandbits(self, k):
+                events.append("draw")
+                return super().getrandbits(k)
+
+        def counting_check(claim, instance, budget=None):
+            events.append("check")
+            return check_claim(claim, instance, budget)
+
+        monkeypatch.setattr(verifier, "random", types.SimpleNamespace(Random=CountingRandom))
+        monkeypatch.setattr(verifier, "check_claim", counting_check)
+        lazy = run_suite(["thm-zg", "zhu"], [3], mode="random", samples=5, seed=3)
+        assert events == ["draw", "check", "check"] * 5
+        monkeypatch.undo()
+        assert lazy == run_suite(["thm-zg", "zhu"], [3], mode="random", samples=5, seed=3)
 
     @pytest.mark.parametrize(
         "kwargs",
