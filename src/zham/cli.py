@@ -13,7 +13,9 @@ semantics:
     6  store or output I/O failure
 
 The ``ZHAM_BUDGET`` environment variable overrides the default node budget
-wherever ``--budget`` is not given.
+wherever ``--budget`` is not given; a budget below 0 from either is a parse
+error.  ``python -m zham`` and ``python -m zham.cli`` run the same command
+line as ``zham``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import partial
 from pathlib import Path
 
 from .conditions import CONDITION_IDS, build_registry
-from .core import BipartiteGraph, Digraph, Graph, GraphError, pairs_json, witness_json
+from .core import KINDS, GraphError, pairs_json, witness_json
 from .fileio import ParseError, parse_graph_file, serialize_graph, to_dot
 from .solvers import (
     find_hamiltonian_cycle,
@@ -67,28 +69,25 @@ def _emit_json(payload):
 
 
 def _resolve_budget(flag_value):
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("ZHAM_BUDGET")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"ZHAM_BUDGET must be an integer, got {env!r}") from None
-
-
-_KIND_LABELS = {
-    Digraph: "digraph (D header)",
-    BipartiteGraph: "bipartite (B header)",
-    Graph: "undirected (G header)",
-}
+    """The node budget: ``--budget``, else ``ZHAM_BUDGET``, else None (the
+    solvers' default); either given below 0 is a ``ParseError``."""
+    source, budget = "--budget", flag_value
+    if budget is None and "ZHAM_BUDGET" in os.environ:
+        source, env = "ZHAM_BUDGET", os.environ["ZHAM_BUDGET"]
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ParseError(f"ZHAM_BUDGET must be an integer, got {env!r}") from None
+    if budget is not None and budget < 0:
+        raise ParseError(f"{source} must be at least 0, got {budget}")
+    return budget
 
 
 def _load(path, kind):
+    """The graph in ``path``, which must be of the ``core.KINDS`` kind ``kind``."""
     obj = parse_graph_file(path)
-    if not isinstance(obj, kind):
-        raise GraphError(f"{path}: expected {_KIND_LABELS[kind]} input")
+    if obj.kind != kind:
+        raise GraphError(f"{path}: expected {KINDS[kind].label} input")
     return obj
 
 
@@ -131,7 +130,7 @@ def _cmd_cycle(kind, solver, args, extend=None):
 
 
 def _cmd_match(args):
-    g = _load(args.input, BipartiteGraph)
+    g = _load(args.input, "bipartite")
     matching = max_matching(g)
     _emit_json(
         {
@@ -144,7 +143,7 @@ def _cmd_match(args):
 
 
 def _cmd_pm2(args):
-    g = _load(args.input, BipartiteGraph)
+    g = _load(args.input, "bipartite")
     result = find_two_disjoint_perfect_matchings(g, _resolve_budget(args.budget))
     _emit_json({**disjoint_pair_json(result), "exhausted": result.exhausted})
     return EXIT_BUDGET if result.exhausted else EXIT_OK
@@ -166,12 +165,14 @@ _GRAPH_CONDITIONS = _registry_table("graph")
 
 
 def _conditions_for(obj, condition_id, k):
-    if isinstance(obj, Digraph):
-        table, has_mmk = _DIGRAPH_CONDITIONS, False
-    elif isinstance(obj, BipartiteGraph):
-        table, has_mmk = _BIPARTITE_CONDITIONS, True
-    else:
-        table, has_mmk = _GRAPH_CONDITIONS, False
+    # the tables are read here, when a request runs, so a rebound table is seen
+    table = {
+        "digraph": _DIGRAPH_CONDITIONS,
+        "bipartite": _BIPARTITE_CONDITIONS,
+        "graph": _GRAPH_CONDITIONS,
+    }[obj.kind]
+    mmk_kind, moon_moser_k = build_registry()["moon-moser-k"]
+    has_mmk = obj.kind == mmk_kind
 
     if condition_id not in table and condition_id not in (None, "moon-moser-k"):
         raise GraphError(
@@ -187,7 +188,6 @@ def _conditions_for(obj, condition_id, k):
         return [table[condition_id](obj)]
     reports = [fn(obj) for fn in table.values()] if condition_id is None else []
     if has_mmk:
-        _, moon_moser_k = build_registry()["moon-moser-k"]
         ks = range(2, obj.n) if k is None else (k,)
         reports += [moon_moser_k(obj, kk) for kk in ks]
         if condition_id is not None and not reports:
@@ -284,17 +284,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text, kind, transform in (
-        ("zmap", "digraph file -> bipartite image file", Digraph, zmap),
-        ("unzmap", "bipartite file -> digraph preimage file", BipartiteGraph, unzmap),
+        ("zmap", "digraph file -> bipartite image file", "digraph", zmap),
+        ("unzmap", "bipartite file -> digraph preimage file", "bipartite", unzmap),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_io(p, output=True, dot=True)
         p.set_defaults(func=partial(_cmd_transform, kind, transform))
 
     for name, what, kind, solver in (
-        ("ham", "directed", Digraph, find_hamiltonian_cycle),
-        ("bipham", "bipartite", BipartiteGraph, find_hamiltonian_cycle_bipartite),
-        ("gham", "undirected", Graph, find_hamiltonian_cycle_undirected),
+        ("ham", "directed", "digraph", find_hamiltonian_cycle),
+        ("bipham", "bipartite", "bipartite", find_hamiltonian_cycle_bipartite),
+        ("gham", "undirected", "graph", find_hamiltonian_cycle_undirected),
     ):
         p = sub.add_parser(name, help=f"{what} Hamiltonian cycle search")
         _add_io(p, budget=True)
@@ -326,7 +326,7 @@ def build_parser():
     _add_io(p, budget=True)
     p.set_defaults(
         func=partial(
-            _cmd_cycle, BipartiteGraph, find_hamiltonian_cycle_bipartite, extend=pullback_halves
+            _cmd_cycle, "bipartite", find_hamiltonian_cycle_bipartite, extend=pullback_halves
         )
     )
 
@@ -335,7 +335,7 @@ def build_parser():
     )
     _add_io(p, budget=True)
     p.set_defaults(
-        func=partial(_cmd_cycle, Digraph, find_hamiltonian_cycle, extend=_pushforward_matching)
+        func=partial(_cmd_cycle, "digraph", find_hamiltonian_cycle, extend=_pushforward_matching)
     )
 
     p = sub.add_parser("verify", help="sweep claims over enumerated instances")
@@ -372,3 +372,7 @@ def main(argv=None) -> int:
 
 def run():
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

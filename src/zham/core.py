@@ -51,9 +51,69 @@ def _as_pair(item):
     return u, v
 
 
+def _index_pairs(obj, name, rows, bipartite=False):
+    """Validate and index the pairs field ``name`` of the value ``obj``.
+
+    The one validator of the three graph types: ``n`` must be a positive
+    int, each pair two int endpoints in 1..n and, unless ``bipartite``, no
+    pair a self-loop.  A bipartite value's n is a part size and its messages
+    name the part of an endpoint; its (i, i) joins x_i to y_i.  With two
+    ``rows`` names the pairs fill a row per first endpoint and a row per
+    second; with one (``Graph``) each pair is normalised to (min, max) and
+    fills one row from both ends.  Rows come out ascending either way.
+    """
+    n = obj.n
+    size = "part size" if bipartite else "vertex count"
+    parts = (" (x part)", " (y part)") if bipartite else ("", "")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise GraphError(f"{size} must be a positive integer, got {n!r}")
+    undirected = len(rows) == 1
+    cleaned = set()
+    for item in getattr(obj, name):
+        try:
+            u, v = item
+        except (TypeError, ValueError):
+            raise GraphError(f"{item!r} is not a pair") from None
+        if not (type(u) is int and type(v) is int and 0 < u <= n and 0 < v <= n):
+            _check_endpoint(u, n, parts[0])
+            _check_endpoint(v, n, parts[1])
+        if not bipartite and u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        cleaned.add((v, u) if undirected and v < u else (u, v))
+    first = [[] for _ in range(n + 1)]
+    # a Graph's one row per vertex gets its smaller neighbours, then its
+    # larger ones, both ascending in sorted pair order
+    second = first if undirected else [[] for _ in range(n + 1)]
+    for u, v in sorted(cleaned):
+        first[u].append(v)
+        second[v].append(u)
+    object.__setattr__(obj, name, frozenset(cleaned))
+    for row, table in zip(rows, (first, second)):
+        object.__setattr__(obj, row, tuple(map(tuple, table)))
+
+
+def arc_universe(n):
+    """All possible loopless arcs on 1..n in lexicographic order."""
+    return [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+
+
+def bipartite_edge_universe(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def graph_edge_universe(n):
+    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Simple loopless directed graph on vertices 1..n with arc set ``arcs``."""
+
+    kind = "digraph"
+    letter = "D"
+    label = "digraph (D header)"
+    max_n = 5  # 2^20 instances
+    universe = staticmethod(arc_universe)
 
     n: int
     arcs: frozenset = frozenset()
@@ -62,25 +122,7 @@ class Digraph:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
-        n = self.n
-        cleaned = set()
-        for item in self.arcs:
-            u, v = _as_pair(item)
-            _check_endpoint(u, n)
-            _check_endpoint(v, n)
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            cleaned.add((u, v))
-        succ = [[] for _ in range(n + 1)]
-        pred = [[] for _ in range(n + 1)]
-        for u, v in sorted(cleaned):
-            succ[u].append(v)
-            pred[v].append(u)
-        object.__setattr__(self, "arcs", frozenset(cleaned))
-        object.__setattr__(self, "_succ", tuple(map(tuple, succ)))
-        object.__setattr__(self, "_pred", tuple(map(tuple, pred)))
+        _index_pairs(self, "arcs", ("_succ", "_pred"))
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -117,31 +159,19 @@ def build_digraph(n, arcs):
 class Graph:
     """Simple undirected graph on vertices 1..n; edges normalized to (min, max)."""
 
+    kind = "graph"
+    letter = "G"
+    label = "undirected (G header)"
+    max_n = 7  # 2^21 instances
+    universe = staticmethod(graph_edge_universe)
+
     n: int
     edges: frozenset = frozenset()
     _adj: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
-        n = self.n
-        cleaned = set()
-        for item in self.edges:
-            u, v = _as_pair(item)
-            _check_endpoint(u, n)
-            _check_endpoint(v, n)
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            cleaned.add((u, v) if u < v else (v, u))
-        adj = [[] for _ in range(n + 1)]
-        # in sorted edge order each row gets its smaller neighbours, then its
-        # larger ones, both ascending: every row comes out sorted
-        for u, v in sorted(cleaned):
-            adj[u].append(v)
-            adj[v].append(u)
-        object.__setattr__(self, "edges", frozenset(cleaned))
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        _index_pairs(self, "edges", ("_adj",))
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -167,6 +197,12 @@ class BipartiteGraph:
     vertices, so balance is structural rather than checked.
     """
 
+    kind = "bipartite"
+    letter = "B"
+    label = "bipartite (B header)"
+    max_n = 5  # 2^25 instances
+    universe = staticmethod(bipartite_edge_universe)
+
     n: int
     edges: frozenset = frozenset()
     _adj_x: tuple = field(init=False, repr=False, compare=False)
@@ -174,23 +210,7 @@ class BipartiteGraph:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise GraphError(f"part size must be a positive integer, got {self.n!r}")
-        n = self.n
-        cleaned = set()
-        for item in self.edges:
-            i, j = _as_pair(item)
-            _check_endpoint(i, n, " (x part)")
-            _check_endpoint(j, n, " (y part)")
-            cleaned.add((i, j))
-        adj_x = [[] for _ in range(n + 1)]
-        adj_y = [[] for _ in range(n + 1)]
-        for i, j in sorted(cleaned):
-            adj_x[i].append(j)
-            adj_y[j].append(i)
-        object.__setattr__(self, "edges", frozenset(cleaned))
-        object.__setattr__(self, "_adj_x", tuple(map(tuple, adj_x)))
-        object.__setattr__(self, "_adj_y", tuple(map(tuple, adj_y)))
+        _index_pairs(self, "edges", ("_adj_x", "_adj_y"), bipartite=True)
 
     def neighbors_x(self, i):
         """y-indices adjacent to x_i, ascending."""
@@ -222,6 +242,15 @@ class BipartiteGraph:
 
     def __repr__(self):
         return f"BipartiteGraph(n={self.n}, edges={sorted(self.edges)})"
+
+
+# the one table of instance kinds, kind name -> value type, in sweep order;
+# each type states its kind's facts once, as plain class attributes (not
+# fields, so equality, hashing and repr ignore them): ``kind``, its header
+# ``letter``, the ``label`` messages name its input by, ``max_n``, the largest
+# n it is enumerated exhaustively at, and ``universe(n)``, its possible
+# arcs or edges in enumeration-bit order
+KINDS = {cls.kind: cls for cls in (Digraph, BipartiteGraph, Graph)}
 
 
 def degree_table(instance):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .core import (
+    KINDS,
     BipartiteGraph,
     Digraph,
     Graph,
@@ -25,7 +26,7 @@ from .core import (
     VertexRangeError,
 )
 
-_HEADER_KINDS = {"D": Digraph, "B": BipartiteGraph, "G": Graph}
+_HEADER_KINDS = {cls.letter: cls for cls in KINDS.values()}
 
 # largest header n accepted (vertices, or part size for B); building the
 # per-vertex tables of a larger graph could exhaust memory before any arc is read
@@ -71,7 +72,7 @@ def parse_graph_text(text: str):
         n = int(fields[1])
     except ValueError:
         raise ParseError(f"vertex count {fields[1]!r} is not an integer", header_no) from None
-    kind = fields[0]
+    cls = _HEADER_KINDS[fields[0]]
     if n < 1:
         raise GraphError(f"header size {n} is below 1 at line {header_no}")
     if n > MAX_HEADER_N:
@@ -88,11 +89,11 @@ def parse_graph_text(text: str):
             raise ParseError(f"non-integer endpoint in {line!r}", line_no) from None
         if not 1 <= u <= n or not 1 <= v <= n:
             raise VertexRangeError(f"endpoint out of range 1..{n} at line {line_no}")
-        if kind != "B" and u == v:
+        if cls is not BipartiteGraph and u == v:
             raise SelfLoopError(f"self-loop at line {line_no}")
         pairs.append((u, v))
 
-    return _HEADER_KINDS[kind](n, frozenset(pairs))
+    return cls(n, frozenset(pairs))
 
 
 def parse_graph_file(path):
@@ -105,12 +106,13 @@ def parse_graph_file(path):
 
 def serialize_graph(obj) -> str:
     """Canonical text form: header plus ascending edge lines, LF-terminated.
-    The header letter is the ``_HEADER_KINDS`` entry ``obj`` is an instance of."""
-    letter = next((h for h, kind in _HEADER_KINDS.items() if isinstance(obj, kind)), None)
-    if letter is None:
+    The header letter is the ``letter`` of the ``core.KINDS`` type ``obj``
+    is an instance of."""
+    cls = next((cls for cls in KINDS.values() if isinstance(obj, cls)), None)
+    if cls is None:
         raise GraphError(f"cannot serialize {type(obj).__name__}")
-    pairs = sorted(obj.arcs if letter == "D" else obj.edges)
-    lines = [f"{letter} {obj.n}"] + [f"{u} {v}" for u, v in pairs]
+    pairs = sorted(obj.arcs if cls is Digraph else obj.edges)
+    lines = [f"{cls.letter} {obj.n}"] + [f"{u} {v}" for u, v in pairs]
     return "\n".join(lines) + "\n"
 
 

@@ -26,11 +26,12 @@ from pathlib import Path
 from ._version import __version__
 from .conditions import build_registry
 from .core import (
-    BipartiteGraph,
-    Digraph,
-    Graph,
+    KINDS,
     GraphError,
+    arc_universe,  # the three universes are re-exported
+    bipartite_edge_universe,
     degree_table,
+    graph_edge_universe,
     pairs_json,
     witness_json,
 )
@@ -55,26 +56,12 @@ PASS = "pass"
 COUNTEREXAMPLE = "counterexample"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
-MAX_DIGRAPH_N = 5
-MAX_BIPARTITE_N = 5
-MAX_GRAPH_N = 7
-
-
 # ---------------------------------------------------------------------------
 # Labeled enumeration
-
-
-def arc_universe(n):
-    """All possible loopless arcs on 1..n in lexicographic order."""
-    return [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
-
-
-def bipartite_edge_universe(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-
-
-def graph_edge_universe(n):
-    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+#
+# Each kind's universe (its possible arcs or edges, bit i of a mask selecting
+# the i-th) and its exhaustive cap are those of its value type in
+# ``core.KINDS``.
 
 
 def _mask_select(universe, mask):
@@ -86,19 +73,14 @@ def _mask_select(universe, mask):
     return out
 
 
-def digraph_from_mask(n, mask, _universe=None):
-    universe = arc_universe(n) if _universe is None else _universe
-    return Digraph(n, frozenset(_mask_select(universe, mask)))
+def _decoder(cls):
+    """The one mask decoder body, bound to value type ``cls``."""
 
+    def from_mask(n, mask, _universe=None):
+        universe = cls.universe(n) if _universe is None else _universe
+        return cls(n, frozenset(_mask_select(universe, mask)))
 
-def bipartite_from_mask(n, mask, _universe=None):
-    universe = bipartite_edge_universe(n) if _universe is None else _universe
-    return BipartiteGraph(n, frozenset(_mask_select(universe, mask)))
-
-
-def graph_from_mask(n, mask, _universe=None):
-    universe = graph_edge_universe(n) if _universe is None else _universe
-    return Graph(n, frozenset(_mask_select(universe, mask)))
+    return from_mask
 
 
 def _check_enum_bounds(n, max_n, what):
@@ -108,48 +90,54 @@ def _check_enum_bounds(n, max_n, what):
         raise GraphError(f"{what} enumeration capped at n={max_n}, got n={n}")
 
 
-_KIND_UNIVERSE = {
-    "digraph": (arc_universe, digraph_from_mask),
-    "bipartite": (bipartite_edge_universe, bipartite_from_mask),
-    "graph": (graph_edge_universe, graph_from_mask),
-}
+# kind -> (universe, decoder), read at call time
+_KIND_UNIVERSE = {kind: (cls.universe, _decoder(cls)) for kind, cls in KINDS.items()}
+digraph_from_mask = _KIND_UNIVERSE["digraph"][1]
+bipartite_from_mask = _KIND_UNIVERSE["bipartite"][1]
+graph_from_mask = _KIND_UNIVERSE["graph"][1]
 
-# largest n each kind is enumerated exhaustively at (2^20, 2^25, 2^21 instances)
-_KIND_MAX_N = {"digraph": MAX_DIGRAPH_N, "bipartite": MAX_BIPARTITE_N, "graph": MAX_GRAPH_N}
+
+def _instances(kind, n, rng=None, samples=1):
+    """The instances of ``kind`` on n a sweep checks: every labeled one in
+    increasing mask order, or with ``rng`` ``samples`` seeded draws.  Each
+    mask is drawn and decoded as its instance is read."""
+    universe_fn, from_mask = _KIND_UNIVERSE[kind]
+    universe = universe_fn(n)
+    bits = len(universe)
+    if rng is None:
+        masks = range(1 << bits)
+    else:
+        masks = (rng.getrandbits(bits) if bits else 0 for _ in range(samples))
+    for mask in masks:
+        yield from_mask(n, mask, universe)
 
 
 def _enumerate(kind, n, max_n):
-    _check_enum_bounds(n, _KIND_MAX_N[kind] if max_n is None else max_n, kind)
-    universe_fn, from_mask = _KIND_UNIVERSE[kind]
-    universe = universe_fn(n)
-    for mask in range(1 << len(universe)):
-        yield from_mask(n, mask, universe)
+    _check_enum_bounds(n, KINDS[kind].max_n if max_n is None else max_n, kind)
+    yield from _instances(kind, n)
 
 
 def enumerate_digraphs(n, max_n=None):
     """All 2^(n(n-1)) labeled loopless digraphs, in increasing bitmask order
     (bit i toggles the i-th arc of the lexicographic arc universe).  ``max_n``
-    defaults to ``MAX_DIGRAPH_N``."""
+    defaults to ``Digraph.max_n``."""
     return _enumerate("digraph", n, max_n)
 
 
 def enumerate_bipartite(n, max_n=None):
     """All 2^(n^2) labeled balanced bipartite graphs, in bitmask order.
-    ``max_n`` defaults to ``MAX_BIPARTITE_N``."""
+    ``max_n`` defaults to ``BipartiteGraph.max_n``."""
     return _enumerate("bipartite", n, max_n)
 
 
 def enumerate_graphs(n, max_n=None):
     """All 2^(n(n-1)/2) labeled undirected graphs, in bitmask order.
-    ``max_n`` defaults to ``MAX_GRAPH_N``."""
+    ``max_n`` defaults to ``Graph.max_n``."""
     return _enumerate("graph", n, max_n)
 
 
 def random_instance(kind, n, rng):
-    universe_fn, from_mask = _KIND_UNIVERSE[kind]
-    universe = universe_fn(n)
-    mask = rng.getrandbits(len(universe)) if universe else 0
-    return from_mask(n, mask, universe)
+    return next(_instances(kind, n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +482,14 @@ def _instance_degrees(instance):
 
 
 def _resolve_claims(claim_ids):
+    """The claims ``claim_ids`` names, each once, in first-named order (all
+    claims for None)."""
     if claim_ids is None:
         return list(CLAIMS.values())
-    out = []
-    for cid in claim_ids:
-        if cid not in CLAIMS:
-            raise GraphError(f"unknown claim id {cid!r}; known: {', '.join(CLAIMS)}")
-        out.append(CLAIMS[cid])
-    return out
+    unknown = [cid for cid in claim_ids if cid not in CLAIMS]
+    if unknown:
+        raise GraphError(f"unknown claim id {unknown[0]!r}; known: {', '.join(CLAIMS)}")
+    return [CLAIMS[cid] for cid in dict.fromkeys(claim_ids)]
 
 
 class _Tally:
@@ -532,37 +520,27 @@ def run_suite(
     each mask as its instance is checked (kinds are processed digraph,
     bipartite, graph and sizes ascending, so the draw order is
     reproducible).  Exhaustive mode raises GraphError
-    before any work when a requested size exceeds its kind's cap
-    (``MAX_DIGRAPH_N``, ``MAX_BIPARTITE_N``, ``MAX_GRAPH_N``); random mode
-    has no cap.  Counterexamples are appended to ``store_path`` when given.
-    Returns ClaimVerdicts in request order.
+    before any work when a requested size exceeds its kind's cap (the
+    ``max_n`` of its type in ``core.KINDS``); random mode has no cap.  A
+    claim id named twice is swept once.  Counterexamples are appended to
+    ``store_path`` when given.  Returns ClaimVerdicts in request order.
     """
     if mode not in ("exhaustive", "random"):
         raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
     claims = _resolve_claims(claim_ids)
     sizes = sorted(set(n_values))
+    swept = [(kind, [c for c in claims if c.instance_kind == kind]) for kind in KINDS]
+    swept = [(kind, kind_claims) for kind, kind_claims in swept if kind_claims]
     if mode == "exhaustive":  # one size past a cap is 2^28 instances or more
-        for kind, max_n in _KIND_MAX_N.items():
-            if any(c.instance_kind == kind for c in claims):
-                for n in sizes:
-                    _check_enum_bounds(n, max_n, kind)
-    rng = random.Random(seed)
+        for kind, _ in swept:
+            for n in sizes:
+                _check_enum_bounds(n, KINDS[kind].max_n, kind)
+    rng = random.Random(seed) if mode == "random" else None
     tallies = {c.claim_id: _Tally() for c in claims}
 
-    for kind in ("digraph", "bipartite", "graph"):
-        kind_claims = [c for c in claims if c.instance_kind == kind]
-        if not kind_claims:
-            continue
-        universe_fn, from_mask = _KIND_UNIVERSE[kind]
+    for kind, kind_claims in swept:
         for n in sizes:
-            universe = universe_fn(n)
-            if mode == "exhaustive":
-                masks = range(1 << len(universe))
-            else:
-                bits = len(universe)
-                masks = (rng.getrandbits(bits) if bits else 0 for _ in range(samples))
-            for mask in masks:
-                instance = from_mask(n, mask, universe)
+            for instance in _instances(kind, n, rng, samples):
                 for claim in kind_claims:
                     outcome, details = check_claim(claim, instance, budget)
                     tally = tallies[claim.claim_id]

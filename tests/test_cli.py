@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -146,6 +149,27 @@ class TestSolverCommands:
         assert main(["ham", str(path)]) == 4
         monkeypatch.setenv("ZHAM_BUDGET", "not-a-number")
         assert main(["ham", str(path)]) == 2
+
+    @pytest.mark.parametrize("cmd", ["ham", "pushforward"])
+    def test_negative_budget_flag_exits_2(self, c3_file, cmd, capsys):
+        assert main([cmd, c3_file, "--budget", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --budget must be at least 0, got -5\n"
+
+    def test_negative_budget_env_var_exits_2(self, c3_file, capsys, monkeypatch):
+        monkeypatch.setenv("ZHAM_BUDGET", "-3")
+        assert main(["ham", c3_file]) == 2
+        assert main(["verify", "--claims", "thm-gz", "--n-max", "1"]) == 2
+        assert capsys.readouterr().err == "error: ZHAM_BUDGET must be at least 0, got -3\n" * 2
+        # the flag wins over the variable
+        assert main(["ham", c3_file, "--budget", "10"]) == 0
+
+    def test_budget_zero_still_exhausts_at_once(self, c3_file, capsys, monkeypatch):
+        assert main(["ham", c3_file, "--budget", "0"]) == 4
+        assert json.loads(capsys.readouterr().out)["nodes_explored"] == 1
+        monkeypatch.setenv("ZHAM_BUDGET", "0")
+        assert main(["ham", c3_file]) == 4
 
     def test_bipham_reports_tagged_cycle(self, zk3_file, capsys):
         assert main(["bipham", zk3_file]) == 0
@@ -352,6 +376,11 @@ class TestVerifyCommand:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    def test_a_repeated_claim_id_is_listed_once(self, capsys):
+        assert main(["verify", "--claims", "thm-gz,thm-gz", "--n-max", "3"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[:3] for row in rows] == [["thm-gz", "digraph", "69"]]
+
     def test_unknown_claim_exits_2(self):
         assert main(["verify", "--claims", "nope"]) == 2
 
@@ -430,6 +459,25 @@ class TestInputLimits:
         path.write_text(f"{kind} {n}\n")
         assert main(["conditions", str(path)]) == 3
         assert capsys.readouterr().err == f"error: header size {n} is below 1 at line 1\n"
+
+
+# ---------------------------------------------------------------------------
+# Module entry points
+
+
+@pytest.mark.parametrize("module", ["zham", "zham.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--n-max", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[0].split()[:3] == ["claim", "kind", "scanned"]
+    assert len(lines) == 1 + len(CLAIMS)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from zham import (
     CycleWitness,
     Digraph,
     Graph,
+    KINDS,
     GraphError,
     Matching,
     SelfLoopError,
@@ -20,6 +21,7 @@ from zham import (
     degrees,
     format_bipartite_vertex,
 )
+from zham.core import arc_universe, bipartite_edge_universe, graph_edge_universe
 from zham.verifier import enumerate_bipartite, enumerate_digraphs, enumerate_graphs
 
 from brute import (
@@ -122,6 +124,84 @@ class TestBipartiteGraph:
         g = BipartiteGraph(2)
         assert list(g.vertices()) == [("x", 1), ("x", 2), ("y", 1), ("y", 2)]
         assert format_bipartite_vertex(("y", 2)) == "y2"
+
+
+class TestKinds:
+    def test_one_table_in_sweep_order(self):
+        assert KINDS == {"digraph": Digraph, "bipartite": BipartiteGraph, "graph": Graph}
+        assert [
+            (cls.kind, cls.letter, cls.label, cls.max_n, cls.universe) for cls in KINDS.values()
+        ] == [
+            ("digraph", "D", "digraph (D header)", 5, arc_universe),
+            ("bipartite", "B", "bipartite (B header)", 5, bipartite_edge_universe),
+            ("graph", "G", "undirected (G header)", 7, graph_edge_universe),
+        ]
+
+    @pytest.mark.parametrize("cls", list(KINDS.values()))
+    def test_kind_facts_are_not_fields(self, cls):
+        a, b = cls(2, [(1, 2)]), cls(2, [(1, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"{cls.__name__}(n=2, {'arcs' if cls is Digraph else 'edges'}=[(1, 2)])"
+        assert a.universe(2) == cls.universe(2)
+        # each type keeps its own __post_init__, wrapped per type by the tracer
+        assert "__post_init__" in vars(cls)
+
+
+class _Int(int):
+    pass
+
+
+class TestValidator:
+    """The one validator, ``_index_pairs``, keeps each type's messages."""
+
+    @pytest.mark.parametrize(
+        "build,error,message",
+        [
+            (lambda: Digraph(0), GraphError, "vertex count must be a positive integer, got 0"),
+            (lambda: Graph(True), GraphError, "vertex count must be a positive integer, got True"),
+            (
+                lambda: BipartiteGraph(2.0),
+                GraphError,
+                "part size must be a positive integer, got 2.0",
+            ),
+            (lambda: Digraph(3, [5]), GraphError, "5 is not a pair"),
+            (lambda: Graph(3, [(1, 2, 3)]), GraphError, "(1, 2, 3) is not a pair"),
+            (lambda: Digraph(3, [(1, 4)]), VertexRangeError, "vertex 4 out of range 1..3"),
+            (lambda: Graph(3, [(0, 1)]), VertexRangeError, "vertex 0 out of range 1..3"),
+            (lambda: Digraph(3, [(True, 2)]), GraphError, "endpoint True is not an integer"),
+            (lambda: Graph(3, [(1, 2.0)]), GraphError, "endpoint 2.0 is not an integer"),
+            (
+                lambda: BipartiteGraph(3, [(1, 4)]),
+                VertexRangeError,
+                "vertex 4 out of range 1..3 (y part)",
+            ),
+            (
+                lambda: BipartiteGraph(3, [("1", 4)]),
+                GraphError,
+                "endpoint '1' is not an integer (x part)",
+            ),
+            (lambda: Digraph(3, [(2, 2)]), SelfLoopError, "self-loop at vertex 2"),
+            (lambda: Graph(3, [(_Int(3), 3)]), SelfLoopError, "self-loop at vertex 3"),
+        ],
+    )
+    def test_messages(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_int_subclasses_are_accepted_and_normalised(self):
+        g = Graph(3, [(_Int(3), 1)])
+        assert g.edges == {(1, 3)} and g.neighbors(3) == (1,)
+        assert BipartiteGraph(2, [(_Int(2), _Int(2))]).neighbors_y(2) == (2,)
+
+    def test_rows_are_sorted_for_every_type(self):
+        pairs = [(3, 1), (1, 3), (2, 1), (1, 2)]
+        d = Digraph(3, pairs)
+        assert d.successors(1) == (2, 3) and d.predecessors(1) == (2, 3)
+        g = Graph(3, pairs)
+        assert g.edges == {(1, 2), (1, 3)} and g.neighbors(1) == (2, 3)
+        b = BipartiteGraph(3, pairs)
+        assert b.neighbors_x(1) == (2, 3) and b.neighbors_y(1) == (2, 3)
 
 
 class TestCheckCycle:

@@ -182,6 +182,72 @@ def test_the_check_sees_condition_imports():
     ]
 
 
+# what a table of the instance kinds is keyed by: the value types, their
+# header letters or their kind names
+KIND_KEYS = {"Digraph", "BipartiteGraph", "Graph", "D", "B", "G", "digraph", "bipartite", "graph"}
+# functions that bind solvers or tables per kind when they run, so that a
+# rebinding (the benchmark tracer's) is seen
+KIND_KEYED_AT_CALL_TIME = {"verifier.build_claims", "cli._conditions_for"}
+
+
+def kind_keyed_dicts(text):
+    """Where Python source ``text`` writes a dict display with a key in
+    ``KIND_KEYS`` (a bare name or a string constant): the innermost enclosing
+    function, else the module-level name assigned, one entry per display."""
+    tree = ast.parse(text)
+    scopes = {
+        node: node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            if isinstance(target, ast.Name):
+                scopes[node] = target.id
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict) and any(
+            isinstance(key, ast.Name) and key.id in KIND_KEYS
+            or isinstance(key, ast.Constant) and key.value in KIND_KEYS
+            for key in node.keys
+        ):
+            enclosing = [s for s in scopes if s.lineno <= node.lineno <= s.end_lineno]
+            innermost = max(enclosing, key=lambda s: s.lineno) if enclosing else None
+            found.append(scopes.get(innermost, "<module>"))
+    return found
+
+
+def test_one_table_of_instance_kinds():
+    # core.KINDS and the class attributes of its value types state each
+    # per-kind fact once; every other module derives its tables from them
+    tables = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "core.py"
+        for name in kind_keyed_dicts(path.read_text(encoding="utf-8"))
+    }
+    assert tables - KIND_KEYED_AT_CALL_TIME == set()
+
+
+KIND_TABLES = '''\
+from .core import BipartiteGraph, Digraph, Graph
+
+LABELS = {Digraph: "digraph", BipartiteGraph: "bipartite", Graph: "undirected"}
+LETTERS: dict = {"D": 1, "B": 2, "G": 3}
+DERIVED = {cls.letter: cls for cls in (Digraph, Graph)}
+OTHER = {"dirac": ("graph", None)}
+
+
+def pick(kind):
+    caps = {"digraph": 5, "bipartite": 5}
+    return caps[kind]
+'''
+
+
+def test_the_check_sees_kind_tables():
+    assert kind_keyed_dicts(KIND_TABLES) == ["LABELS", "LETTERS", "pick"]
+
+
 COUNTED = '''\
 """Module docstring
 on two lines."""

@@ -14,6 +14,7 @@ from zham import (
     ESTABLISHED_CLAIM_IDS,
     Counterexample,
     CounterexampleStore,
+    KINDS,
     Digraph,
     GraphError,
     StoreError,
@@ -37,6 +38,7 @@ from zham.verifier import (
     _instance_degrees,
     arc_universe,
     dumps_indented,
+    random_instance,
     render_table,
 )
 from zham.core import format_bipartite_vertex
@@ -78,6 +80,25 @@ class TestEnumeration:
     def test_rejects_bad_sizes(self):
         with pytest.raises(GraphError):
             next(enumerate_digraphs(0))
+
+    def test_each_kind_decodes_through_its_table_entry(self):
+        # the decoders are bound from one body, one per core.KINDS type
+        for kind, cls in KINDS.items():
+            universe, from_mask = verifier._KIND_UNIVERSE[kind]
+            assert universe is cls.universe
+            assert from_mask is getattr(verifier, f"{kind}_from_mask")
+            full = from_mask(3, (1 << len(universe(3))) - 1)
+            assert type(full) is cls and len(full.arcs if cls is Digraph else full.edges) == len(
+                universe(3)
+            )
+
+    def test_random_instance_draws_one_mask_of_the_universe_width(self):
+        rng = random.Random(8)
+        drawn = [random_instance("graph", 4, rng) for _ in range(5)]
+        rng = random.Random(8)
+        masks = [rng.getrandbits(6) for _ in range(5)]
+        assert drawn == [verifier.graph_from_mask(4, m) for m in masks]
+        assert random_instance("graph", 1, random.Random(8)) == verifier.graph_from_mask(1, 0)
 
 
 class TestCheckClaim:
@@ -263,6 +284,18 @@ class TestRunSuite:
     def test_unknown_claim_is_rejected(self):
         with pytest.raises(GraphError):
             run_suite(["no-such-claim"], [2])
+
+    def test_a_repeated_claim_id_is_swept_once(self, tmp_path):
+        verdicts = run_suite(["dirac", "thm-gz", "dirac"], range(1, 5))
+        assert [(v.claim_id, v.instances_scanned) for v in verdicts] == [
+            ("dirac", 1 + 2 + 8 + 64),
+            ("thm-gz", 1 + 4 + 64 + 4096),
+        ]
+        once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+        assert run_suite(["mm-k"], [3], store_path=once) == run_suite(
+            ["mm-k", "mm-k"], [3], store_path=twice
+        )
+        assert twice.read_text() == once.read_text()
 
     def test_bad_mode_is_rejected(self):
         with pytest.raises(GraphError):
