@@ -13,6 +13,13 @@ from zham import (
     zmap,
 )
 
+
+def show(matrix):
+    """Print a matrix of the tuple-of-rows form one row per line."""
+    for row in matrix:
+        print(" ".join(f"{x:2d}" for x in row))
+
+
 print("=" * 64)
 print("The directed triangle")
 print("=" * 64)
@@ -22,22 +29,22 @@ print("degrees (out, in, total):", degrees(c3))
 
 c = incidence_matrix(c3)
 print("\nincidence matrix (+1 tail, -1 head, columns in arc order):")
-print(c)
+show(c)
 
 pair = split_incidence(c)
 print("\nnonnegative half (tails):")
-print(pair.c_plus)
+show(pair.c_plus)
 print("nonpositive half (heads):")
-print(pair.c_minus)
+show(pair.c_minus)
 
 print("\nstacking [tails; -heads] gives the incidence of the bipartite image:")
-print(f_matrix(c3))
+show(f_matrix(c3))
 
 z = zmap(c3)
 print("\nbipartite image:", z)
 print("x-degrees match out-degrees:", [z.degree_x(i) for i in (1, 2, 3)])
 print("y-degrees match in-degrees: ", [z.degree_y(j) for j in (1, 2, 3)])
-assert (f_matrix(c3) == bipartite_incidence(z)).all()
+assert f_matrix(c3) == bipartite_incidence(z)
 
 print("\nround trip recovers the digraph exactly:", unzmap(z) == c3)
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     BipartiteGraph,
     CycleWitness,
@@ -24,26 +22,26 @@ from .core import (
     SelfLoopError,
     check_cycle,
 )
-from .incidence import incidence_matrix, is_digraph_incidence
+from .incidence import Matrix, incidence_matrix, is_digraph_incidence
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SplitPair:
     """Nonnegative / nonpositive halves of a digraph incidence matrix."""
 
-    c_plus: np.ndarray
-    c_minus: np.ndarray
+    c_plus: Matrix
+    c_minus: Matrix
 
 
-def split_incidence(c: np.ndarray) -> SplitPair:
+def split_incidence(c: Matrix) -> SplitPair:
     """Split a digraph incidence matrix into its tail part (entries >= 0 kept,
     rest zeroed) and head part (entries <= 0 kept, rest zeroed)."""
-    c = np.asarray(c)
     if not is_digraph_incidence(c):
         raise GraphError("not a digraph incidence matrix (each column needs one +1 and one -1)")
-    plus = np.where(c > 0, c, 0).astype(np.int8)
-    minus = np.where(c < 0, c, 0).astype(np.int8)
-    return SplitPair(plus, minus)
+    return SplitPair(
+        tuple(tuple(max(x, 0) for x in row) for row in c),
+        tuple(tuple(min(x, 0) for x in row) for row in c),
+    )
 
 
 def zmap(d: Digraph) -> BipartiteGraph:
@@ -71,14 +69,14 @@ def unzmap(g: BipartiteGraph) -> Digraph:
     return Digraph(g.n, g.edges)
 
 
-def f_matrix(d: Digraph) -> np.ndarray:
+def f_matrix(d: Digraph) -> Matrix:
     """Stacked incidence [tail part; -head part] of the bipartite image.
 
     Equals ``bipartite_incidence(zmap(d))`` entry for entry: row i marks the
     out-role x_i, row n+j the in-role y_j.
     """
     pair = split_incidence(incidence_matrix(d))
-    return np.vstack([pair.c_plus, -pair.c_minus])
+    return pair.c_plus + tuple(tuple(-x for x in row) for row in pair.c_minus)
 
 
 def ham_cycle_pullback(g: BipartiteGraph, witness: CycleWitness):

@@ -6,10 +6,15 @@ count of each module of ``src/zham`` and their total.
 
 import ast
 import io
+import re
+import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "zham"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zham"
 
 # tokens that hold no code of their own
 _LAYOUT = {
@@ -246,6 +251,49 @@ def pick(kind):
 
 def test_the_check_sees_kind_tables():
     assert kind_keyed_dicts(KIND_TABLES) == ["LABELS", "LETTERS", "pick"]
+
+
+def third_party_imports(text):
+    """Top-level names of the modules that Python source ``text`` imports
+    from outside the standard library and outside zham itself."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"zham"}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # every module the library imports from outside the standard library is
+    # a declared runtime dependency, and every declared one is used
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower() for dep in project["dependencies"]}
+    imported = set().union(
+        *(third_party_imports(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py"))
+    )
+    assert imported == declared == {"orjson"}
+
+
+THIRD_PARTY = '''\
+from __future__ import annotations
+
+import json
+import os.path, numpy.linalg
+from collections import Counter
+from .core import Graph
+from zham.core import Digraph
+
+
+def f():
+    import orjson
+'''
+
+
+def test_the_check_sees_third_party_imports():
+    assert third_party_imports(THIRD_PARTY) == {"numpy", "orjson"}
 
 
 COUNTED = '''\
