@@ -16,15 +16,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .core import (
-    KINDS,
-    BipartiteGraph,
-    Digraph,
-    Graph,
-    GraphError,
-    SelfLoopError,
-    VertexRangeError,
-)
+from .core import KINDS, BipartiteGraph, Digraph, Graph, GraphError
 
 _HEADER_KINDS = {cls.letter: cls for cls in KINDS.values()}
 
@@ -53,10 +45,12 @@ def _content_lines(text):
 def parse_graph_text(text: str):
     """Parse edge-list text into a Digraph, BipartiteGraph, or Graph.
 
-    Raises ``ParseError`` for syntax problems and the core validation errors
-    (self-loop, out-of-range endpoint) with the offending line named; a
-    header n below 1 or above ``MAX_HEADER_N`` raises ``GraphError`` naming
-    the header line.
+    Raises ``ParseError`` for syntax problems; a header n below 1 or above
+    ``MAX_HEADER_N`` raises ``GraphError`` naming the header line.  Each
+    ``u v`` pair goes to the value type's validator as its line is read, so
+    a bad pair is refused there (``VertexRangeError`` naming the vertex and,
+    for B, its part, or ``SelfLoopError`` naming the vertex) with
+    `` at line N`` appended.
     """
     lines = _content_lines(text)
     try:
@@ -72,28 +66,28 @@ def parse_graph_text(text: str):
         n = int(fields[1])
     except ValueError:
         raise ParseError(f"vertex count {fields[1]!r} is not an integer", header_no) from None
-    cls = _HEADER_KINDS[fields[0]]
     if n < 1:
         raise GraphError(f"header size {n} is below 1 at line {header_no}")
     if n > MAX_HEADER_N:
         raise GraphError(f"header size {n} exceeds the cap of {MAX_HEADER_N} at line {header_no}")
+    line_no = None
 
-    pairs = []
-    for line_no, line in lines:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"expected 'u v', got {line!r}", line_no)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", line_no) from None
-        if not 1 <= u <= n or not 1 <= v <= n:
-            raise VertexRangeError(f"endpoint out of range 1..{n} at line {line_no}")
-        if cls is not BipartiteGraph and u == v:
-            raise SelfLoopError(f"self-loop at line {line_no}")
-        pairs.append((u, v))
+    def pairs():
+        nonlocal line_no
+        for line_no, line in lines:
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ParseError(f"expected 'u v', got {line!r}", line_no)
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ParseError(f"non-integer endpoint in {line!r}", line_no) from None
+            yield u, v
 
-    return cls(n, frozenset(pairs))
+    try:
+        return _HEADER_KINDS[fields[0]](n, pairs())
+    except GraphError as exc:  # the validator refused the pair on line_no
+        raise type(exc)(f"{exc} at line {line_no}") from None
 
 
 def parse_graph_file(path):

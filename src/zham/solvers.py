@@ -437,12 +437,16 @@ def enumerate_perfect_matchings(g: BipartiteGraph, budget=None):
         yield Matching(pairs)
 
 
+def _digraph_cycles(d: Digraph, b, k=1):
+    """Every Hamiltonian cycle of ``d`` as a vertex tuple anchored at 1,
+    charged to ``b``; none, at no cost, unless ``_digraph_viable(d, k)``."""
+    if _digraph_viable(d, k):
+        yield from _search_cycle(d.n, 1, _masks(d._succ), b)
+
+
 def enumerate_hamiltonian_cycles(d: Digraph, budget=None):
     """Deterministic stream of every Hamiltonian cycle of ``d``, anchored at 1."""
-    b = _Budget(budget)
-    if not _digraph_viable(d):
-        return
-    for seq in _search_cycle(d.n, 1, _masks(d._succ), b):
+    for seq in _digraph_cycles(d, _Budget(budget)):
         yield CycleWitness(DIGRAPH_CYCLE, seq)
 
 
@@ -453,17 +457,13 @@ def find_two_disjoint_hamiltonian_cycles(d: Digraph, budget=None) -> DisjointPai
     its arcs and re-solves on the rest.  Both witnesses share one budget.
     """
     b = _Budget(budget)
-    if not _digraph_viable(d, 2):
-        return DisjointPair(False, None, None, 0)
     try:
-        for first in _search_cycle(d.n, 1, _masks(d._succ), b):
+        for first in _digraph_cycles(d, b, 2):
             cycle_arcs = frozenset(
                 (first[i], first[(i + 1) % d.n]) for i in range(d.n)
             )
             rest = Digraph(d.n, d.arcs - cycle_arcs)
-            if not _digraph_viable(rest):
-                continue
-            second = next(_search_cycle(rest.n, 1, _masks(rest._succ), b), None)
+            second = next(_digraph_cycles(rest, b), None)
             if second is not None:
                 w1 = CycleWitness(DIGRAPH_CYCLE, first)
                 w2 = CycleWitness(DIGRAPH_CYCLE, second)

@@ -492,17 +492,6 @@ def _resolve_claims(claim_ids):
     return [CLAIMS[cid] for cid in dict.fromkeys(claim_ids)]
 
 
-class _Tally:
-    __slots__ = ("scanned", "hits", "passes", "counterexamples", "exhausted")
-
-    def __init__(self):
-        self.scanned = 0
-        self.hits = 0
-        self.passes = 0
-        self.counterexamples = []
-        self.exhausted = 0
-
-
 def run_suite(
     claim_ids=None,
     n_values=(1, 2, 3, 4),
@@ -519,11 +508,12 @@ def run_suite(
     ``samples`` instances per size from a generator seeded with ``seed``,
     each mask as its instance is checked (kinds are processed digraph,
     bipartite, graph and sizes ascending, so the draw order is
-    reproducible).  Exhaustive mode raises GraphError
-    before any work when a requested size exceeds its kind's cap (the
-    ``max_n`` of its type in ``core.KINDS``); random mode has no cap.  A
+    reproducible).  Every size is checked before any work: it must be a
+    positive integer and, in exhaustive mode only, at most its kind's cap
+    (the ``max_n`` of its type in ``core.KINDS``); GraphError otherwise.  A
     claim id named twice is swept once.  Counterexamples are appended to
-    ``store_path`` when given.  Returns ClaimVerdicts in request order.
+    ``store_path`` when given, in (claim id, n, instance) order.  Returns
+    ClaimVerdicts in request order.
     """
     if mode not in ("exhaustive", "random"):
         raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
@@ -531,31 +521,25 @@ def run_suite(
     sizes = sorted(set(n_values))
     swept = [(kind, [c for c in claims if c.instance_kind == kind]) for kind in KINDS]
     swept = [(kind, kind_claims) for kind, kind_claims in swept if kind_claims]
-    if mode == "exhaustive":  # one size past a cap is 2^28 instances or more
-        for kind, _ in swept:
-            for n in sizes:
-                _check_enum_bounds(n, KINDS[kind].max_n, kind)
+    for kind, _ in swept:  # one size past a cap is 2^28 instances or more
+        cap = KINDS[kind].max_n if mode == "exhaustive" else float("inf")
+        for n in sizes:
+            _check_enum_bounds(n, cap, kind)
     rng = random.Random(seed) if mode == "random" else None
-    tallies = {c.claim_id: _Tally() for c in claims}
+    outcomes = (HYPOTHESIS_MISS, PASS, COUNTEREXAMPLE, BUDGET_EXHAUSTED)
+    counts = {c.claim_id: dict.fromkeys(outcomes, 0) for c in claims}
+    found = {c.claim_id: [] for c in claims}
 
     for kind, kind_claims in swept:
         for n in sizes:
             for instance in _instances(kind, n, rng, samples):
                 for claim in kind_claims:
                     outcome, details = check_claim(claim, instance, budget)
-                    tally = tallies[claim.claim_id]
-                    tally.scanned += 1
-                    if outcome == HYPOTHESIS_MISS:
-                        continue
-                    tally.hits += 1
-                    if outcome == PASS:
-                        tally.passes += 1
-                    elif outcome == BUDGET_EXHAUSTED:
-                        tally.exhausted += 1
-                    else:
+                    counts[claim.claim_id][outcome] += 1
+                    if outcome == COUNTEREXAMPLE:
                         details = dict(details)
                         details["degrees"] = _instance_degrees(instance)
-                        tally.counterexamples.append(
+                        found[claim.claim_id].append(
                             Counterexample(
                                 claim.claim_id, n, serialize_graph(instance), details
                             )
@@ -563,26 +547,26 @@ def run_suite(
 
     verdicts = []
     for claim in claims:
-        tally = tallies[claim.claim_id]
-        ces = tuple(
-            sorted(tally.counterexamples, key=lambda ce: (ce.n, ce.instance))
-        )
+        count = counts[claim.claim_id]
+        scanned = sum(count.values())
+        ces = tuple(sorted(found[claim.claim_id], key=lambda ce: (ce.n, ce.instance)))
         verdicts.append(
             ClaimVerdict(
                 claim.claim_id,
-                tally.scanned,
-                tally.hits,
-                tally.passes,
+                scanned,
+                scanned - count[HYPOTHESIS_MISS],
+                count[PASS],
                 ces,
-                tally.exhausted,
+                count[BUDGET_EXHAUSTED],
             )
         )
 
     if store_path is not None:
-        store = CounterexampleStore(store_path)
-        all_ces = [ce for v in verdicts for ce in v.counterexamples]
-        all_ces.sort(key=lambda ce: (ce.claim_id, ce.n, ce.instance))
-        store.append(all_ces, rng_seed=seed if mode == "random" else None)
+        by_id = sorted(verdicts, key=lambda v: v.claim_id)
+        CounterexampleStore(store_path).append(
+            [ce for v in by_id for ce in v.counterexamples],
+            rng_seed=seed if mode == "random" else None,
+        )
     return verdicts
 
 
@@ -775,10 +759,13 @@ def _store_line_problem(record):
 
 def reverify_record(record, budget=None) -> bool:
     """Re-run hypothesis and conclusion on a stored counterexample with fresh
-    solver calls; True when the failure reproduces."""
+    solver calls; True when the failure reproduces (never for an unknown
+    claim id or an instance not of its claim's kind)."""
     claim = CLAIMS.get(record["claim_id"])
     if claim is None:
         return False
     instance = parse_graph_text(record["instance"])
+    if instance.kind != claim.instance_kind:
+        return False
     outcome, _ = check_claim(claim, instance, budget)
     return outcome == COUNTEREXAMPLE

@@ -75,6 +75,27 @@ class TestParse:
             parse_graph_text("D 3\n1 4\n")
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("D 3\n1 2\n1 4\n", VertexRangeError, "vertex 4 out of range 1..3 at line 3"),
+            ("B 3\n1 2\n4 1\n", VertexRangeError, "vertex 4 out of range 1..3 (x part) at line 3"),
+            ("G 3\n1 2\n2 2\n", SelfLoopError, "self-loop at vertex 2 at line 3"),
+        ],
+        ids=["D", "B", "G"],
+    )
+    def test_a_bad_pair_is_refused_in_the_validators_words(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_graph_text(text)
+        assert str(exc.value) == message
+
+    def test_the_first_bad_line_is_named_whatever_its_fault(self):
+        with pytest.raises(ParseError) as exc:
+            parse_graph_text("D 3\n1 x\n1 4\n")
+        assert exc.value.line_no == 2
+        with pytest.raises(VertexRangeError, match="at line 2$"):
+            parse_graph_text("D 3\n1 4\n1 x\n")
+
     @pytest.mark.parametrize("kind", ["D", "B", "G"])
     @pytest.mark.parametrize("n", [0, -1])
     def test_header_below_one_names_the_header_line(self, kind, n):

@@ -253,6 +253,54 @@ def test_the_check_sees_kind_tables():
     assert kind_keyed_dicts(KIND_TABLES) == ["LABELS", "LETTERS", "pick"]
 
 
+def raised_names(text):
+    """Names of the exceptions that Python source ``text`` raises by name
+    (``raise E``, ``raise E(...)``, ``raise mod.E(...)``), one per raise
+    statement, in the order ``ast.walk`` visits them."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.append(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                found.append(exc.attr)
+    return found
+
+
+def test_one_pair_validator():
+    # core._index_pairs is the only check of a pair's range; the parser and
+    # every other caller leave a bad pair to it
+    raisers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "VertexRangeError" in raised_names(path.read_text(encoding="utf-8"))
+    }
+    assert raisers == {"core.py"}
+
+
+RAISES = '''\
+from . import core
+from .core import GraphError, VertexRangeError
+
+
+def check(v, n):
+    if v > n:
+        raise VertexRangeError(f"vertex {v}")
+    if v < 1:
+        raise core.VertexRangeError
+    try:
+        return n // v
+    except ZeroDivisionError as exc:
+        raise type(exc)(f"{exc} at v") from None
+    raise GraphError("unreachable") from None
+'''
+
+
+def test_the_check_sees_raised_names():
+    assert sorted(raised_names(RAISES)) == ["GraphError", "VertexRangeError", "VertexRangeError"]
+
+
 def third_party_imports(text):
     """Top-level names of the modules that Python source ``text`` imports
     from outside the standard library and outside zham itself."""

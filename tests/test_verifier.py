@@ -1,6 +1,7 @@
 import datetime
 import json
 import random
+import re
 import types
 
 import pytest
@@ -301,6 +302,22 @@ class TestRunSuite:
         with pytest.raises(GraphError):
             run_suite(["thm-gz"], [2], mode="guess")
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("n", [2.5, 0, True])
+    def test_a_bad_size_is_refused_before_any_work(self, monkeypatch, mode, n):
+        monkeypatch.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
+        message = f"^digraph size must be a positive integer, got {re.escape(repr(n))}$"
+        with pytest.raises(GraphError, match=message):
+            run_suite(["thm-gz"], [2, n], mode=mode, samples=1, seed=1)
+
+    def test_the_cap_binds_in_exhaustive_mode_only(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
+            with pytest.raises(GraphError, match="^digraph enumeration capped at n=5, got n=6$"):
+                run_suite(["thm-gz"], [2, 6])
+        [verdict] = run_suite(["thm-gz"], [6], mode="random", samples=3, seed=1)
+        assert verdict.instances_scanned == 3
+
     @pytest.mark.parametrize(
         "enumerate_kind", [enumerate_digraphs, enumerate_bipartite, enumerate_graphs]
     )
@@ -411,6 +428,22 @@ class TestStore:
         records = CounterexampleStore(store_path).load()
         assert records
         assert all(r["rng_seed"] == 7 and reverify_record(r) for r in records)
+
+    def test_lines_come_in_claim_id_then_instance_order(self, tmp_path):
+        # requested zhu first, yet mm-k sorts first by claim id
+        store_path = tmp_path / "ce.jsonl"
+        run_suite(["zhu", "mm-k"], [3, 4], store_path=store_path)
+        keys = [(r["claim_id"], r["n"], r["instance"]) for r in CounterexampleStore(store_path).load()]
+        assert keys == sorted(keys)
+        assert {key[:2] for key in keys} == {("mm-k", 3), ("mm-k", 4), ("zhu", 4)}
+
+    @pytest.mark.parametrize("claim_id, instance", [("zhu", "B 3\n"), ("mm-k", "D 3\n")])
+    def test_an_instance_of_another_kind_does_not_reverify(self, claim_id, instance):
+        record = {
+            "claim_id": claim_id, "n": 3, "instance": instance, "details": {},
+            "tool_version": "0.1.0", "rng_seed": None,
+        }
+        assert reverify_record(record) is False
 
     def test_stored_instances_reverify_with_fresh_solvers(self, tmp_path):
         store_path = tmp_path / "zhu.jsonl"
