@@ -8,7 +8,13 @@ are exact integer arithmetic — fractional bounds like n/2 are evaluated as
 ``2*d`` against ``n`` so odd n never touches floating point.  Statements that
 require a minimum size (n > 2 for most digraph/graph forms, part size >= 2
 for the bipartite forms) report ``hypothesis_holds=False`` with note
-"n too small" below it.
+"n too small" below it.  Each condition's id, minimum size, note and
+strong-connectivity clause are stated once, in the ``_condition``
+declaration above its predicate; the one gate there gives the "n too
+small" report and decides every other report, with the note, from the
+violators and parameters the predicate's body returns.  The two predicates
+that take an extra argument, ``moon_moser_k`` and ``ore_bipartite``, check
+it before they pass the gate.
 
 A hypothesis is decided before it is explained.  Each predicate describes
 its violators as one sequence in a fixed order, decides
@@ -24,7 +30,7 @@ condition claims are read from it.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, wraps
 from operator import attrgetter
 
 from .core import BipartiteGraph, Digraph, Graph, GraphError, degree_table
@@ -118,6 +124,48 @@ class ConditionReport:
         }
 
 
+def _condition(condition_id, minimum, note="", strong=False):
+    """Declare the decorated body as the predicate of ``condition_id``.
+
+    The one size gate: an instance with ``n`` below ``minimum`` (vertices,
+    or part size for a bipartite graph) gets the "n too small" report.  Any
+    other gets the report decided from ``body(instance, *extra)``, which
+    returns the violator sequence and the parameters, with ``note``.  When
+    ``strong``, ``NOT_STRONG`` leads the violators of a digraph that is not
+    strongly connected.  The predicate keeps the body's name, signature and
+    docstring, and takes its arguments by position.
+    """
+
+    def declare(body):
+        @wraps(body)
+        def predicate(*args):  # the instance, then any extra argument
+            n = args[0].n
+            if n < minimum:
+                return ConditionReport(
+                    condition_id,
+                    False,
+                    ({"reason": "n too small", "n": n, "minimum": minimum},),
+                    {"n": n},
+                    note="n too small",
+                )
+            # body(*args) passes the tuple on as it is; body(instance, *args)
+            # would build a second one on every call
+            violators, parameters = body(*args)
+            if strong and not strongly_connected(args[0]):
+                violators = partial(_not_strong_then, violators)
+            return ConditionReport._decide(condition_id, violators, parameters, note)
+
+        return predicate
+
+    return declare
+
+
+def _not_strong_then(violators):
+    """Violator sequence: ``NOT_STRONG``, then ``violators()``."""
+    yield NOT_STRONG
+    yield from violators()
+
+
 def _low_vertices(labels, degrees, scale, bound):
     """Violator sequence: ``{"vertex", "degree"}`` items of the vertices with
     ``scale * degree < bound``."""
@@ -130,109 +178,74 @@ def _no_violators():
     return iter(())
 
 
-def _strong_then(strong, violators):
-    """Violator sequence: ``NOT_STRONG`` unless ``strong``, then ``violators()``."""
-
-    def chained():
-        if not strong:
-            yield NOT_STRONG
-        yield from violators()
-
-    return chained
-
-
-def _too_small(condition_id, n, minimum):
-    return ConditionReport(
-        condition_id,
-        False,
-        ({"reason": "n too small", "n": n, "minimum": minimum},),
-        {"n": n},
-        note="n too small",
-    )
+def _low_count(labels, degrees, scale, bound, allowance, parameters):
+    """The low-degree count test: the vertices with ``scale * degree <
+    bound`` violate it, every one of them, when there are more than
+    ``allowance``.  Returns their violator sequence (empty within the
+    allowance) and ``parameters`` with their count added as ``s_size``."""
+    s_size = len([d for d in degrees if scale * d < bound])
+    parameters["s_size"] = s_size
+    if s_size <= allowance:
+        return _no_violators, parameters
+    return partial(_low_vertices, labels, degrees, scale, bound), parameters
 
 
+@_condition("dirac", 3)
 def dirac(g: Graph) -> ConditionReport:
     """Every vertex satisfies 2*d(u) >= n (graphs with n > 2)."""
-    n = g.n
-    if n <= 2:
-        return _too_small("dirac", n, 3)
     labels, degrees = degree_table(g)
-    return ConditionReport._decide("dirac", partial(_low_vertices, labels, degrees, 2, n), {"n": n})
+    return partial(_low_vertices, labels, degrees, 2, g.n), {"n": g.n}
 
 
+@_condition("ghouila-houri", 3, strong=True)
 def ghouila_houri(d: Digraph) -> ConditionReport:
     """Strongly connected and every vertex satisfies d(u) >= n (n > 2)."""
-    n = d.n
-    if n <= 2:
-        return _too_small("ghouila-houri", n, 3)
     labels, degrees, _, _ = degree_table(d)
-    violators = _strong_then(strongly_connected(d), partial(_low_vertices, labels, degrees, 1, n))
-    return ConditionReport._decide("ghouila-houri", violators, {"n": n})
+    return partial(_low_vertices, labels, degrees, 1, d.n), {"n": d.n}
 
 
+@_condition("faudree", 3)
 def faudree(g: Graph) -> ConditionReport:
     """At most k-1 vertices of degree strictly below n/2, k the minimum degree."""
-    n = g.n
-    if n <= 2:
-        return _too_small("faudree", n, 3)
     labels, degrees = degree_table(g)
     k = min(degrees)
-    s_size = len([d for d in degrees if 2 * d < n])
-    violators = _no_violators
-    if s_size > k - 1:
-        violators = partial(_low_vertices, labels, degrees, 2, n)
-    return ConditionReport._decide("faudree", violators, {"n": n, "k": k, "s_size": s_size})
+    return _low_count(labels, degrees, 2, g.n, k - 1, {"n": g.n, "k": k})
 
 
+@_condition("zhu", 3, strong=True)
 def zhu_digraph(d: Digraph) -> ConditionReport:
     """Digraph analogue of the low-degree-count test: strongly connected and
     at most k-1 vertices of total degree below n, k the minimum total degree."""
-    n = d.n
-    if n <= 2:
-        return _too_small("zhu", n, 3)
     labels, degrees, _, _ = degree_table(d)
     k = min(degrees)
-    s_size = len([t for t in degrees if t < n])
-    small = _no_violators
-    if s_size > k - 1:
-        small = partial(_low_vertices, labels, degrees, 1, n)
-    violators = _strong_then(strongly_connected(d), small)
-    return ConditionReport._decide("zhu", violators, {"n": n, "k": k, "s_size": s_size})
+    return _low_count(labels, degrees, 1, d.n, k - 1, {"n": d.n, "k": k})
 
 
 def moon_moser_k(g: BipartiteGraph, k: int) -> ConditionReport:
     """Fewer than n vertices (both parts pooled) of degree below k, 1 < k < n."""
-    n = g.n
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 < k < n:
-        raise GraphError(f"k must satisfy 1 < k < n, got k={k!r} with n={n}")
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 < k < g.n:
+        raise GraphError(f"k must satisfy 1 < k < n, got k={k!r} with n={g.n}")
+    return _moon_moser_k(g, k)
+
+
+# reached only when 1 < k < n, so never below the minimum
+@_condition("moon-moser-k", 3, "low-degree set drawn from both parts")
+def _moon_moser_k(g, k):
     labels, degrees = degree_table(g)
-    s_size = len([d for d in degrees if d < k])
-    violators = _no_violators
-    if s_size >= n:
-        violators = partial(_low_vertices, labels, degrees, 1, k)
-    return ConditionReport._decide(
-        "moon-moser-k",
-        violators,
-        {"n": n, "k": k, "s_size": s_size},
-        "low-degree set drawn from both parts",
-    )
+    return _low_count(labels, degrees, 1, k, g.n - 1, {"n": g.n, "k": k})
 
 
+@_condition("moon-moser-half", 2)
 def moon_moser_half(g: BipartiteGraph) -> ConditionReport:
     """Every vertex of both parts satisfies 2*d(u) > n (part size >= 2)."""
-    n = g.n
-    if n < 2:
-        return _too_small("moon-moser-half", n, 2)
     labels, degrees = degree_table(g)
-    violators = partial(_low_vertices, labels, degrees, 2, n + 1)
-    return ConditionReport._decide("moon-moser-half", violators, {"n": n})
+    return partial(_low_vertices, labels, degrees, 2, g.n + 1), {"n": g.n}
 
 
+@_condition("cor1-disjoint-hc", 3, "disjoint = arc-disjoint", strong=True)
 def disjoint_hc_degree(d: Digraph) -> ConditionReport:
     """Strongly connected and 2*d+(u) > n and 2*d-(u) > n for every vertex."""
     n = d.n
-    if n <= 2:
-        return _too_small("cor1-disjoint-hc", n, 3)
     labels, _, outs, ins = degree_table(d)
 
     def low_vertices():
@@ -240,46 +253,30 @@ def disjoint_hc_degree(d: Digraph) -> ConditionReport:
             if 2 * out <= n or 2 * in_ <= n:
                 yield {"vertex": v, "out_degree": out, "in_degree": in_}
 
-    return ConditionReport._decide(
-        "cor1-disjoint-hc",
-        _strong_then(strongly_connected(d), low_vertices),
-        {"n": n},
-        note="disjoint = arc-disjoint",
-    )
+    return low_vertices, {"n": n}
 
 
+@_condition("las-vergnas", 2)
 def las_vergnas(g: BipartiteGraph) -> ConditionReport:
     """Every non-adjacent cross pair satisfies d(u) + d(v) >= n + 2.
 
     Vacuously true for complete bipartite graphs (part size >= 2 required).
     """
-    if g.n < 2:
-        return _too_small("las-vergnas", g.n, 2)
-    return ConditionReport._decide(
-        "las-vergnas", _cross_pair_deficits(g, g.n + 2), {"n": g.n}
-    )
+    return _cross_pair_deficits(g, g.n + 2), {"n": g.n}
 
 
+@_condition("woodall", 3, strong=True)
 def woodall(d: Digraph) -> ConditionReport:
     """Strongly connected and d+(u) + d-(v) >= n for every ordered non-arc
     pair u != v.  Vacuously true for the complete digraph."""
-    if d.n <= 2:
-        return _too_small("woodall", d.n, 3)
-    violators = _strong_then(strongly_connected(d), _pair_deficits(d, d.n))
-    return ConditionReport._decide("woodall", violators, {"n": d.n})
+    return _pair_deficits(d, d.n), {"n": d.n}
 
 
+@_condition("cor2-woodall-plus2", 3, "disjoint = arc-disjoint")
 def woodall_plus2(d: Digraph) -> ConditionReport:
     """Like ``woodall`` with threshold n + 2, but with no connectivity clause
     (the strengthened statement has none)."""
-    if d.n <= 2:
-        return _too_small("cor2-woodall-plus2", d.n, 3)
-    return ConditionReport._decide(
-        "cor2-woodall-plus2",
-        _pair_deficits(d, d.n + 2),
-        {"n": d.n},
-        note="disjoint = arc-disjoint",
-    )
+    return _pair_deficits(d, d.n + 2), {"n": d.n}
 
 
 def _pair_deficits(d, threshold):
@@ -305,21 +302,18 @@ def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
     (two-disjoint-matchings form, id cor3-ore-2pm).
     """
     if threshold == g.n:
-        condition_id = "cor3-ore-pm"
-        note = ""
-    elif threshold == g.n + 2:
-        condition_id = "cor3-ore-2pm"
-        note = "disjoint = edge-disjoint"
-    else:
-        raise GraphError(f"threshold must be n or n+2, got {threshold!r} with n={g.n}")
-    if g.n < 2:
-        return _too_small(condition_id, g.n, 2)
-    return ConditionReport._decide(
-        condition_id,
-        _cross_pair_deficits(g, threshold),
-        {"n": g.n, "threshold": threshold},
-        note,
-    )
+        return _ore_pm(g, threshold)
+    if threshold == g.n + 2:
+        return _ore_2pm(g, threshold)
+    raise GraphError(f"threshold must be n or n+2, got {threshold!r} with n={g.n}")
+
+
+def _ore(g, threshold):
+    return _cross_pair_deficits(g, threshold), {"n": g.n, "threshold": threshold}
+
+
+_ore_pm = _condition("cor3-ore-pm", 2)(_ore)
+_ore_2pm = _condition("cor3-ore-2pm", 2, "disjoint = edge-disjoint")(_ore)
 
 
 def _cross_pair_deficits(g, threshold):

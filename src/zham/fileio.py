@@ -4,7 +4,8 @@ Format, bit-exact: the first non-comment line is a header ``D <n>`` (digraph),
 ``B <n>`` (balanced bipartite, part size n) or ``G <n>`` (undirected); every
 following non-comment line is ``u v`` — an arc u->v for D, the edge x_u—y_v
 for B, the edge u—v for G.  ``#`` starts a comment line, indices are 1-based,
-encoding is UTF-8 with LF line endings.  Serialization always emits edges in
+encoding is UTF-8 with LF line endings.  The header n and each index are an
+optional ``-`` and ASCII digits.  Serialization always emits edges in
 ascending order, so parse-serialize is a normalizing round trip.
 
 A header n below 1 or above ``MAX_HEADER_N`` is refused with ``GraphError``
@@ -42,6 +43,15 @@ def _content_lines(text):
         yield line_no, line
 
 
+def _index(token):
+    """The integer ``token`` spells as an optional ``-`` and ASCII digits;
+    ValueError for any other text, such as the ``+3``, ``1_0`` and non-ASCII
+    digits that ``int`` alone would take."""
+    if not (token.isascii() and token.lstrip("-").isdigit()):
+        raise ValueError(f"not an index: {token!r}")
+    return int(token)
+
+
 def parse_graph_text(text: str):
     """Parse edge-list text into a Digraph, BipartiteGraph, or Graph.
 
@@ -63,7 +73,7 @@ def parse_graph_text(text: str):
             f"header must be 'D <n>', 'B <n>' or 'G <n>', got {header!r}", header_no
         )
     try:
-        n = int(fields[1])
+        n = _index(fields[1])
     except ValueError:
         raise ParseError(f"vertex count {fields[1]!r} is not an integer", header_no) from None
     if n < 1:
@@ -79,7 +89,7 @@ def parse_graph_text(text: str):
             if len(tokens) != 2:
                 raise ParseError(f"expected 'u v', got {line!r}", line_no)
             try:
-                u, v = int(tokens[0]), int(tokens[1])
+                u, v = _index(tokens[0]), _index(tokens[1])
             except ValueError:
                 raise ParseError(f"non-integer endpoint in {line!r}", line_no) from None
             yield u, v

@@ -112,28 +112,28 @@ def _instances(kind, n, rng=None, samples=1):
         yield from_mask(n, mask, universe)
 
 
-def _enumerate(kind, n, max_n):
-    _check_enum_bounds(n, KINDS[kind].max_n if max_n is None else max_n, kind)
+def _enumerate(kind, n):
+    _check_enum_bounds(n, KINDS[kind].max_n, kind)
     yield from _instances(kind, n)
 
 
-def enumerate_digraphs(n, max_n=None):
+def enumerate_digraphs(n):
     """All 2^(n(n-1)) labeled loopless digraphs, in increasing bitmask order
-    (bit i toggles the i-th arc of the lexicographic arc universe).  ``max_n``
-    defaults to ``Digraph.max_n``."""
-    return _enumerate("digraph", n, max_n)
+    (bit i toggles the i-th arc of the lexicographic arc universe), for n up
+    to ``Digraph.max_n``."""
+    return _enumerate("digraph", n)
 
 
-def enumerate_bipartite(n, max_n=None):
-    """All 2^(n^2) labeled balanced bipartite graphs, in bitmask order.
-    ``max_n`` defaults to ``BipartiteGraph.max_n``."""
-    return _enumerate("bipartite", n, max_n)
+def enumerate_bipartite(n):
+    """All 2^(n^2) labeled balanced bipartite graphs, in bitmask order, for
+    n up to ``BipartiteGraph.max_n``."""
+    return _enumerate("bipartite", n)
 
 
-def enumerate_graphs(n, max_n=None):
-    """All 2^(n(n-1)/2) labeled undirected graphs, in bitmask order.
-    ``max_n`` defaults to ``Graph.max_n``."""
-    return _enumerate("graph", n, max_n)
+def enumerate_graphs(n):
+    """All 2^(n(n-1)/2) labeled undirected graphs, in bitmask order, for n
+    up to ``Graph.max_n``."""
+    return _enumerate("graph", n)
 
 
 def random_instance(kind, n, rng):
@@ -518,13 +518,14 @@ def run_suite(
     if mode not in ("exhaustive", "random"):
         raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
     claims = _resolve_claims(claim_ids)
-    sizes = sorted(set(n_values))
+    sizes = dict.fromkeys(n_values)  # checked before sorting: "3" and 2 do not order
     swept = [(kind, [c for c in claims if c.instance_kind == kind]) for kind in KINDS]
     swept = [(kind, kind_claims) for kind, kind_claims in swept if kind_claims]
     for kind, _ in swept:  # one size past a cap is 2^28 instances or more
         cap = KINDS[kind].max_n if mode == "exhaustive" else float("inf")
         for n in sizes:
             _check_enum_bounds(n, cap, kind)
+    sizes = sorted(sizes)
     rng = random.Random(seed) if mode == "random" else None
     outcomes = (HYPOTHESIS_MISS, PASS, COUNTEREXAMPLE, BUDGET_EXHAUSTED)
     counts = {c.claim_id: dict.fromkeys(outcomes, 0) for c in claims}

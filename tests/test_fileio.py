@@ -81,8 +81,9 @@ class TestParse:
             ("D 3\n1 2\n1 4\n", VertexRangeError, "vertex 4 out of range 1..3 at line 3"),
             ("B 3\n1 2\n4 1\n", VertexRangeError, "vertex 4 out of range 1..3 (x part) at line 3"),
             ("G 3\n1 2\n2 2\n", SelfLoopError, "self-loop at vertex 2 at line 3"),
+            ("D 3\n-1 2\n", VertexRangeError, "vertex -1 out of range 1..3 at line 2"),
         ],
-        ids=["D", "B", "G"],
+        ids=["D", "B", "G", "negative"],
     )
     def test_a_bad_pair_is_refused_in_the_validators_words(self, text, error, message):
         with pytest.raises(error) as exc:
@@ -95,6 +96,23 @@ class TestParse:
         assert exc.value.line_no == 2
         with pytest.raises(VertexRangeError, match="at line 2$"):
             parse_graph_text("D 3\n1 4\n1 x\n")
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("D 10\n1_0 2\n", 2),
+            ("D ٣\n١ ٢\n", 1),  # Arabic-Indic digits
+            ("D 3\n١ ٢\n", 2),
+            ("D +3\n+1 2\n", 1),
+            ("D 3\n+1 2\n", 2),
+        ],
+        ids=["underscore", "arabic-indic-header", "arabic-indic-endpoint", "plus-header", "plus"],
+    )
+    def test_an_index_is_an_optional_minus_and_ascii_digits(self, text, line_no):
+        # int() takes each of these tokens; the format does not
+        with pytest.raises(ParseError) as exc:
+            parse_graph_text(text)
+        assert exc.value.line_no == line_no
 
     @pytest.mark.parametrize("kind", ["D", "B", "G"])
     @pytest.mark.parametrize("n", [0, -1])

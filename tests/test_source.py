@@ -187,6 +187,74 @@ def test_the_check_sees_condition_imports():
     ]
 
 
+def string_constant_counts(text, values):
+    """How many times Python source ``text`` writes each string of ``values``
+    as a string constant (an f-string's literal parts included)."""
+    counts = dict.fromkeys(values, 0)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in counts:
+            counts[node.value] += 1
+    return counts
+
+
+def _is_size(node):
+    return (
+        isinstance(node, ast.Name) and node.id == "n"
+        or isinstance(node, ast.Attribute) and node.attr == "n"
+    )
+
+
+def size_literal_comparisons(text):
+    """The comparisons in Python source ``text`` that set a size (the name
+    ``n`` or an attribute ``.n``) directly beside an integer literal, as
+    source text, in the order ``ast.walk`` visits them."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(
+                _is_size(a) and isinstance(b, ast.Constant) and isinstance(b.value, int)
+                or _is_size(b) and isinstance(a, ast.Constant) and isinstance(a.value, int)
+                for a, b in zip(operands, operands[1:])
+            ):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_each_condition_is_stated_once():
+    # a condition's id, minimum size and note are written in its _condition
+    # declaration, whose one gate holds the only size test; the id appears
+    # once more, in build_registry
+    from zham.conditions import CONDITION_IDS
+
+    text = (SRC / "conditions.py").read_text(encoding="utf-8")
+    counts = string_constant_counts(text, CONDITION_IDS)
+    assert {cid: count for cid, count in counts.items() if count > 2} == {}
+    assert size_literal_comparisons(text) == []
+
+
+DECLARED = '''\
+@_condition("dirac", 3)
+def dirac(g, n, k):
+    """The "dirac" condition."""
+    if n <= 2 or 3 > g.n:
+        return f"{'dirac'}"
+    if 1 < k < n or len(g) == 2 or g.n < k:
+        return "faudree"
+    return 2 * n > 5
+
+
+REGISTRY = {"dirac": dirac}
+'''
+
+
+def test_the_check_sees_restated_conditions():
+    assert string_constant_counts(DECLARED, ("dirac", "faudree", "zhu")) == {
+        "dirac": 3, "faudree": 1, "zhu": 0,
+    }
+    assert size_literal_comparisons(DECLARED) == ["n <= 2", "3 > g.n"]
+
+
 # what a table of the instance kinds is keyed by: the value types, their
 # header letters or their kind names
 KIND_KEYS = {"Digraph", "BipartiteGraph", "Graph", "D", "B", "G", "digraph", "bipartite", "graph"}
