@@ -16,6 +16,13 @@ The ``ZHAM_BUDGET`` environment variable overrides the default node budget
 wherever ``--budget`` is not given; a budget below 0 from either is a parse
 error.  ``python -m zham`` and ``python -m zham.cli`` run the same command
 line as ``zham``.
+
+``main`` builds the argparse parser on its first call and reuses it for every
+later call in the process, so an in-process caller pays for argparse once, not
+per request.  The parser therefore binds no solver or transform: a
+subcommand's handler names its function, and the request looks that name up in
+this module when it runs, so a function rebound here after the first call (a
+test's stand-in, the benchmark tracer's wrapper) is the one the request uses.
 """
 
 from __future__ import annotations
@@ -23,9 +30,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
+# build_parser names the solvers and transforms imported here by string; each
+# request looks its function up in this module when it runs
 from .conditions import CONDITION_IDS, build_registry
 from .core import KINDS, GraphError, pairs_json, witness_json
 from .fileio import ParseError, parse_graph_file, serialize_graph, to_dot
@@ -99,33 +108,31 @@ def _write_text(path, text):
 
 
 def _cmd_transform(kind, transform, args):
-    """Load one ``kind`` of graph and write its ``transform`` image."""
-    image = transform(_load(args.input, kind))
+    """Load one ``kind`` of graph and write its image under the transform this
+    module binds to the name ``transform``."""
+    image = globals()[transform](_load(args.input, kind))
     _write_text(args.output, serialize_graph(image))
     if args.dot:
         _write_text(args.dot, to_dot(image))
     return EXIT_OK
 
 
-def _solver_payload(result, extra=None):
-    payload = {
-        "found": result.found,
-        "cycle": witness_json(result.witness),
-        "nodes_explored": result.nodes_explored,
-        "exhausted": result.exhausted,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
 def _cmd_cycle(kind, solver, args, extend=None):
-    """Load one ``kind`` of graph and search it with ``solver``; a found
-    cycle's payload gains the fields ``extend(graph, witness)`` returns."""
+    """Load one ``kind`` of graph and search it with the solver this module
+    binds to the name ``solver``; a found cycle's payload gains the fields
+    that the function named ``extend`` returns for (graph, witness)."""
     obj = _load(args.input, kind)
-    result = solver(obj, _resolve_budget(args.budget))
-    extra = extend(obj, result.witness) if extend is not None and result.found else None
-    _emit_json(_solver_payload(result, extra))
+    result = globals()[solver](obj, _resolve_budget(args.budget))
+    extra = globals()[extend](obj, result.witness) if extend and result.found else {}
+    _emit_json(
+        {
+            "found": result.found,
+            "cycle": witness_json(result.witness),
+            "nodes_explored": result.nodes_explored,
+            "exhausted": result.exhausted,
+            **extra,
+        }
+    )
     return EXIT_BUDGET if result.exhausted else EXIT_OK
 
 
@@ -224,11 +231,11 @@ def _cmd_verify(args):
     else:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
         unknown = [c for c in claim_ids if c not in CLAIMS]
-        if unknown:
-            return _fail(
-                f"unknown claim id(s) {', '.join(unknown)}; known: {', '.join(CLAIMS)}",
-                EXIT_PARSE,
+        if unknown or not claim_ids:
+            named = f"unknown claim id(s) {', '.join(unknown)}" if unknown else (
+                f"--claims {args.claims!r} names no claim id"
             )
+            return _fail(f"{named}; known: {', '.join(CLAIMS)}", EXIT_PARSE)
     if args.n_min < 1 or args.n_max < args.n_min:
         return _fail("need 1 <= --n-min <= --n-max", EXIT_PARSE)
     if args.mode == "random" and args.samples < 1:
@@ -276,6 +283,8 @@ def _add_io(sub, output=False, dot=False, budget=False):
 
 
 def build_parser():
+    """The ``zham`` parser; each subcommand's ``func`` names, and does not
+    hold, the solver or transform it runs (see the module docstring)."""
     parser = argparse.ArgumentParser(
         prog="zham",
         description="Vertex-split transform between digraphs and balanced bipartite "
@@ -284,17 +293,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text, kind, transform in (
-        ("zmap", "digraph file -> bipartite image file", "digraph", zmap),
-        ("unzmap", "bipartite file -> digraph preimage file", "bipartite", unzmap),
+        ("zmap", "digraph file -> bipartite image file", "digraph", "zmap"),
+        ("unzmap", "bipartite file -> digraph preimage file", "bipartite", "unzmap"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_io(p, output=True, dot=True)
         p.set_defaults(func=partial(_cmd_transform, kind, transform))
 
     for name, what, kind, solver in (
-        ("ham", "directed", "digraph", find_hamiltonian_cycle),
-        ("bipham", "bipartite", "bipartite", find_hamiltonian_cycle_bipartite),
-        ("gham", "undirected", "graph", find_hamiltonian_cycle_undirected),
+        ("ham", "directed", "digraph", "find_hamiltonian_cycle"),
+        ("bipham", "bipartite", "bipartite", "find_hamiltonian_cycle_bipartite"),
+        ("gham", "undirected", "graph", "find_hamiltonian_cycle_undirected"),
     ):
         p = sub.add_parser(name, help=f"{what} Hamiltonian cycle search")
         _add_io(p, budget=True)
@@ -326,7 +335,7 @@ def build_parser():
     _add_io(p, budget=True)
     p.set_defaults(
         func=partial(
-            _cmd_cycle, "bipartite", find_hamiltonian_cycle_bipartite, extend=pullback_halves
+            _cmd_cycle, "bipartite", "find_hamiltonian_cycle_bipartite", extend="pullback_halves"
         )
     )
 
@@ -335,7 +344,9 @@ def build_parser():
     )
     _add_io(p, budget=True)
     p.set_defaults(
-        func=partial(_cmd_cycle, "digraph", find_hamiltonian_cycle, extend=_pushforward_matching)
+        func=partial(
+            _cmd_cycle, "digraph", "find_hamiltonian_cycle", extend="_pushforward_matching"
+        )
     )
 
     p = sub.add_parser("verify", help="sweep claims over enumerated instances")
@@ -354,10 +365,13 @@ def build_parser():
     return parser
 
 
+# built on main's first call, not at import, so ``import zham.cli`` stays cheap
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -301,11 +301,11 @@ def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
     ``threshold`` must be n (perfect-matching form, id cor3-ore-pm) or n + 2
     (two-disjoint-matchings form, id cor3-ore-2pm).
     """
-    if threshold == g.n:
-        return _ore_pm(g, threshold)
-    if threshold == g.n + 2:
-        return _ore_2pm(g, threshold)
-    raise GraphError(f"threshold must be n or n+2, got {threshold!r} with n={g.n}")
+    if not isinstance(threshold, int) or isinstance(threshold, bool) or (
+        threshold not in (g.n, g.n + 2)
+    ):
+        raise GraphError(f"threshold must be n or n+2, got {threshold!r} with n={g.n}")
+    return (_ore_pm if threshold == g.n else _ore_2pm)(g, threshold)
 
 
 def _ore(g, threshold):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -6,12 +7,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from zham import GraphError, verifier
+from zham import GraphError, cli, verifier
 from zham.cli import main
 from zham.fileio import MAX_HEADER_N, parse_graph_text
 from zham.verifier import CLAIMS, Claim
@@ -384,6 +386,19 @@ class TestVerifyCommand:
     def test_unknown_claim_exits_2(self):
         assert main(["verify", "--claims", "nope"]) == 2
 
+    @pytest.mark.parametrize("claims", [",", " , ,"])
+    def test_claims_naming_no_id_exit_2(self, claims, capsys):
+        assert main(["verify", "--claims", claims]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --claims {claims!r} names no claim id; known: ")
+
+    @pytest.mark.parametrize("claims", ["", "all"])
+    def test_empty_or_all_claims_sweep_every_claim(self, claims, capsys):
+        assert main(["verify", "--claims", claims, "--n-max", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert sorted(row.split()[0] for row in rows) == sorted(CLAIMS)
+
     def test_bad_range_exits_2(self):
         assert main(["verify", "--n-min", "3", "--n-max", "2"]) == 2
 
@@ -431,6 +446,65 @@ class TestVerifyCommand:
         assert main(args) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.encode() == report.read_bytes()
+
+
+class TestOneParserPerProcess:
+    def test_later_calls_build_no_parser(self, c3_file, monkeypatch, capsys):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(cli, "_parser", cache(cli.build_parser))  # not yet built
+        after_each = []
+        for _ in range(10):
+            assert main(["ham", c3_file]) == 0
+            after_each.append(len(built))
+        assert after_each[0] > 0
+        assert after_each == after_each[:1] * 10
+
+    def test_no_state_leaks_from_one_call_to_the_next(self, tmp_path, c3_file, monkeypatch, capsys):
+        monkeypatch.delenv("ZHAM_BUDGET", raising=False)
+        k5 = tmp_path / "k5.txt"
+        arcs = [(u, v) for u in range(1, 6) for v in range(1, 6) if u != v]
+        k5.write_text("D 5\n" + "".join(f"{u} {v}\n" for u, v in arcs))
+        assert main(["ham", str(k5), "--budget", "2"]) == 4
+        capsys.readouterr()
+        assert main(["ham", str(k5)]) == 0  # the default budget again
+        assert json.loads(capsys.readouterr().out)["exhausted"] is False
+        assert main(["conditions", c3_file, "--id", "woodall"]) == 0
+        capsys.readouterr()
+        assert main(["conditions", c3_file]) == 0  # every report again
+        assert capsys.readouterr().out == _golden("conditions.json")
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("ham", "find_hamiltonian_cycle"),
+            ("pm2", "find_two_disjoint_perfect_matchings"),
+            ("zmap", "zmap"),
+        ],
+    )
+    def test_a_function_rebound_after_a_call_is_the_one_used(
+        self, command, name, c3_file, zk3_file, monkeypatch, capsys
+    ):
+        path = zk3_file if command == "pm2" else c3_file
+        assert main([command, path]) == 0
+        first = capsys.readouterr().out
+        calls = []
+        real = getattr(cli, name)
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, spy)
+        assert main([command, path]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == first
 
 
 class TestInputLimits:

@@ -20,6 +20,7 @@ from zham import (
     zhu_digraph,
 )
 import pickle
+import re
 import sys
 import threading
 
@@ -284,6 +285,15 @@ class TestOreBipartite:
         assert ore_bipartite(g, 4).condition_id == "cor3-ore-2pm"
         with pytest.raises(GraphError):
             ore_bipartite(g, 3)
+
+    @pytest.mark.parametrize(
+        "n, threshold", [(3, 3.0), (3, 5.0), (1, True)], ids=["n-float", "n+2-float", "bool"]
+    )
+    def test_threshold_must_be_an_int(self, n, threshold):
+        # equal to n or n + 2, but not an int: refused like moon_moser_k's k
+        message = f"threshold must be n or n+2, got {threshold!r} with n={n}"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            ore_bipartite(complete_bipartite(n), threshold)
 
 
 # ---------------------------------------------------------------------------

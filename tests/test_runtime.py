@@ -16,12 +16,14 @@ LOADED_BY_IMPORT = """\
 import sys
 before = set(sys.modules)
 import zham
-print(sorted({"numpy", "orjson"} & (set(sys.modules) - before)))
+print(sorted({"numpy", "orjson", "argparse", "zham.cli"} & (set(sys.modules) - before)))
 """
 
 
-def test_import_loads_neither_numpy_nor_orjson():
-    # numpy is no dependency; orjson is imported where a report is written
+def test_import_loads_no_numpy_orjson_argparse_or_cli():
+    # numpy is no dependency; orjson is imported where a report is written;
+    # the command line (and with it argparse and its one parser) loads only
+    # when it runs
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
