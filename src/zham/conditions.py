@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import partial, wraps
 from operator import attrgetter
 
-from .core import BipartiteGraph, Digraph, Graph, GraphError, degree_table
+from .core import BipartiteGraph, Digraph, Graph, GraphError, degree_table, is_int
 from .solvers import strongly_connected
 
 NOT_STRONG = {"reason": "not strongly connected"}
@@ -223,7 +223,7 @@ def zhu_digraph(d: Digraph) -> ConditionReport:
 
 def moon_moser_k(g: BipartiteGraph, k: int) -> ConditionReport:
     """Fewer than n vertices (both parts pooled) of degree below k, 1 < k < n."""
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 < k < g.n:
+    if not is_int(k) or not 1 < k < g.n:
         raise GraphError(f"k must satisfy 1 < k < n, got k={k!r} with n={g.n}")
     return _moon_moser_k(g, k)
 
@@ -301,9 +301,7 @@ def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
     ``threshold`` must be n (perfect-matching form, id cor3-ore-pm) or n + 2
     (two-disjoint-matchings form, id cor3-ore-2pm).
     """
-    if not isinstance(threshold, int) or isinstance(threshold, bool) or (
-        threshold not in (g.n, g.n + 2)
-    ):
+    if not is_int(threshold) or threshold not in (g.n, g.n + 2):
         raise GraphError(f"threshold must be n or n+2, got {threshold!r} with n={g.n}")
     return (_ore_pm if threshold == g.n else _ore_2pm)(g, threshold)
 

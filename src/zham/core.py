@@ -6,6 +6,11 @@ All types are immutable after construction and validate their invariants in
 ``__post_init__``; instances are safe to share between threads.  Vertices are
 1-based integers; bipartite vertices are ``("x", i)`` / ``("y", j)`` tags.
 
+Each graph type also states its id space (see ``KINDS``): ids 1..n, or 1..2n
+for a bipartite graph, whose x_i is id i and y_j id n + j, with an adjacency
+row per id.  The cycle search and the certificate check walk those ids alone,
+so neither tells the kinds apart.
+
 ``Digraph``, ``Graph`` and ``BipartiteGraph`` carry a private ``_memo`` dict
 that the solvers, the Z-mapping and the condition predicates fill with facts
 derived deterministically from the value (strong connectivity, a cycle
@@ -18,6 +23,7 @@ between threads: a race at worst computes an equal result twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 class GraphError(ValueError):
@@ -36,19 +42,17 @@ DIGRAPH_CYCLE = "digraph-cycle"
 GRAPH_CYCLE = "graph-cycle"
 
 
+def is_int(x):
+    """The one integer test of every input check: an int that is not a bool
+    (``True`` is refused, other int subclasses are accepted)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_endpoint(v, n, where=""):
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not is_int(v):
         raise GraphError(f"endpoint {v!r} is not an integer{where}")
     if not 1 <= v <= n:
         raise VertexRangeError(f"vertex {v} out of range 1..{n}{where}")
-
-
-def _as_pair(item):
-    try:
-        u, v = item
-    except (TypeError, ValueError):
-        raise GraphError(f"{item!r} is not a pair") from None
-    return u, v
 
 
 def _index_pairs(obj, name, rows, bipartite=False):
@@ -65,7 +69,7 @@ def _index_pairs(obj, name, rows, bipartite=False):
     n = obj.n
     size = "part size" if bipartite else "vertex count"
     parts = (" (x part)", " (y part)") if bipartite else ("", "")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise GraphError(f"{size} must be a positive integer, got {n!r}")
     undirected = len(rows) == 1
     cleaned = set()
@@ -92,6 +96,16 @@ def _index_pairs(obj, name, rows, bipartite=False):
         object.__setattr__(obj, row, tuple(map(tuple, table)))
 
 
+def _own_id(host, v):
+    """The id of witness entry ``v`` on a host whose vertices are their own
+    ids: ``v`` itself when it is one of 1..n, else None."""
+    return v if is_int(v) and 0 < v <= host.n else None
+
+
+def _own_vertex(host, i):
+    return i
+
+
 def arc_universe(n):
     """All possible loopless arcs on 1..n in lexicographic order."""
     return [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
@@ -114,6 +128,13 @@ class Digraph:
     label = "digraph (D header)"
     max_n = 5  # 2^20 instances
     universe = staticmethod(arc_universe)
+    cycle_kind = DIGRAPH_CYCLE
+    shortest_cycle = 2  # a digon uses two distinct arcs
+    pairs = property(attrgetter("arcs"))
+    id_count = property(attrgetter("n"))
+    rows = property(attrgetter("_succ"))
+    id_of = _own_id
+    vertex_of = _own_vertex
 
     n: int
     arcs: frozenset = frozenset()
@@ -146,13 +167,18 @@ class Digraph:
     def has_arc(self, u, v):
         return (u, v) in self.arcs
 
+    def _degrees(self):
+        outs = tuple(map(len, self._succ[1:]))
+        ins = tuple(map(len, self._pred[1:]))
+        return self.vertices(), tuple(map(int.__add__, outs, ins)), outs, ins
+
     def __repr__(self):
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
 
 
 def build_digraph(n, arcs):
     """Validated digraph from an arc list; duplicates collapse (set semantics)."""
-    return Digraph(n, frozenset(tuple(_as_pair(a)) for a in arcs))
+    return Digraph(n, arcs)
 
 
 @dataclass(frozen=True)
@@ -164,6 +190,13 @@ class Graph:
     label = "undirected (G header)"
     max_n = 7  # 2^21 instances
     universe = staticmethod(graph_edge_universe)
+    cycle_kind = GRAPH_CYCLE
+    shortest_cycle = 3
+    pairs = property(attrgetter("edges"))
+    id_count = property(attrgetter("n"))
+    rows = property(attrgetter("_adj"))
+    id_of = _own_id
+    vertex_of = _own_vertex
 
     n: int
     edges: frozenset = frozenset()
@@ -185,6 +218,9 @@ class Graph:
     def has_edge(self, u, v):
         return ((u, v) if u < v else (v, u)) in self.edges
 
+    def _degrees(self):
+        return self.vertices(), tuple(map(len, self._adj[1:]))
+
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
@@ -202,6 +238,9 @@ class BipartiteGraph:
     label = "bipartite (B header)"
     max_n = 5  # 2^25 instances
     universe = staticmethod(bipartite_edge_universe)
+    cycle_kind = GRAPH_CYCLE
+    shortest_cycle = 3
+    pairs = property(attrgetter("edges"))
 
     n: int
     edges: frozenset = frozenset()
@@ -226,12 +265,37 @@ class BipartiteGraph:
     def degree_y(self, j):
         return len(self._adj_y[j])
 
+    @property
+    def id_count(self):
+        return 2 * self.n
+
+    @property
+    def rows(self):
+        """Adjacency rows over the ids 1..2n, memoised: x_i's row holds n + j
+        for each neighbour y_j and y_j's row the i of each neighbour x_i, so
+        a row holds only ids of the other part.  Built on first use, never
+        by the constructor."""
+        rows = self._memo.get("rows")
+        if rows is None:
+            n = self.n
+            x_rows = tuple(tuple(n + j for j in row) for row in self._adj_x[1:])
+            rows = self._memo["rows"] = ((),) + x_rows + self._adj_y[1:]
+        return rows
+
+    def id_of(self, vertex):
+        """x_i -> i, y_j -> n + j; None for anything that is not a vertex."""
+        if isinstance(vertex, tuple) and len(vertex) == 2 and vertex[0] in ("x", "y"):
+            side, i = vertex
+            if is_int(i) and 0 < i <= self.n:
+                return i if side == "x" else self.n + i
+        return None
+
+    def vertex_of(self, i):
+        return ("x", i) if i <= self.n else ("y", i - self.n)
+
     def vertices(self):
         """All 2n part-tagged vertices, x part first."""
-        for i in range(1, self.n + 1):
-            yield ("x", i)
-        for j in range(1, self.n + 1):
-            yield ("y", j)
+        return map(self.vertex_of, range(1, self.id_count + 1))
 
     def degree(self, vertex):
         side, i = vertex
@@ -239,6 +303,11 @@ class BipartiteGraph:
 
     def has_edge(self, i, j):
         return (i, j) in self.edges
+
+    def _degrees(self):
+        parts = range(1, self.n + 1)
+        labels = tuple([f"x{i}" for i in parts] + [f"y{j}" for j in parts])
+        return labels, tuple(map(len, self._adj_x[1:] + self._adj_y[1:]))
 
     def __repr__(self):
         return f"BipartiteGraph(n={self.n}, edges={sorted(self.edges)})"
@@ -249,30 +318,25 @@ class BipartiteGraph:
 # fields, so equality, hashing and repr ignore them): ``kind``, its header
 # ``letter``, the ``label`` messages name its input by, ``max_n``, the largest
 # n it is enumerated exhaustively at, and ``universe(n)``, its possible
-# arcs or edges in enumeration-bit order
+# arcs or edges in enumeration-bit order.  Beside them each states its id
+# space: ``id_count``, ``rows`` (row v lists the ids adjacent to id v, row 0
+# empty), ``id_of`` (witness vertex -> id, None for a non-vertex) and
+# ``vertex_of``; its cycle witnesses' ``cycle_kind`` and ``shortest_cycle``;
+# and ``pairs``, its arc or edge set
 KINDS = {cls.kind: cls for cls in (Digraph, BipartiteGraph, Graph)}
+_HOSTS = tuple(KINDS.values())
 
 
 def degree_table(instance):
     """The degree table of ``instance``, memoised on it under "degrees": the
     vertex labels and degrees in ``vertices()`` order ("x1".."xn", "y1".."yn"
     for a bipartite graph), plus a digraph's out- and in-degrees in the same
-    order.  The condition predicates, ``degrees`` and the verifier's
-    counterexample details all read this one table."""
+    order, as its type's ``_degrees`` states them.  The condition predicates,
+    ``degrees`` and the verifier's counterexample details all read this one
+    table."""
     table = instance._memo.get("degrees")
     if table is None:
-        if isinstance(instance, BipartiteGraph):
-            parts = range(1, instance.n + 1)
-            labels = tuple([f"x{i}" for i in parts] + [f"y{j}" for j in parts])
-            degrees = tuple(map(len, instance._adj_x[1:] + instance._adj_y[1:]))
-            table = (labels, degrees)
-        elif isinstance(instance, Digraph):
-            outs = tuple(map(len, instance._succ[1:]))
-            ins = tuple(map(len, instance._pred[1:]))
-            table = (instance.vertices(), tuple(map(int.__add__, outs, ins)), outs, ins)
-        else:
-            table = (instance.vertices(), tuple(map(len, instance._adj[1:])))
-        instance._memo["degrees"] = table
+        table = instance._memo["degrees"] = instance._degrees()
     return table
 
 
@@ -287,17 +351,6 @@ def format_bipartite_vertex(vertex):
     """("x", 3) -> "x3"."""
     side, i = vertex
     return f"{side}{i}"
-
-
-def _is_bipartite_vertex(item, n):
-    return (
-        isinstance(item, tuple)
-        and len(item) == 2
-        and item[0] in ("x", "y")
-        and isinstance(item[1], int)
-        and not isinstance(item[1], bool)
-        and 1 <= item[1] <= n
-    )
 
 
 @dataclass(frozen=True)
@@ -337,12 +390,7 @@ class CycleWitness:
         return tuple(out)
 
     def is_hamiltonian(self, host):
-        target = 2 * host.n if isinstance(host, BipartiteGraph) else host.n
-        return len(self.sequence) == target
-
-
-def _is_vertex(v, n):
-    return isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
+        return len(self.sequence) == host.id_count
 
 
 def check_cycle(host, witness) -> bool:
@@ -354,29 +402,17 @@ def check_cycle(host, witness) -> bool:
     bipartite cycles need length >= 3, and bipartite adjacency forces even
     length.  Never raises: malformed witnesses simply fail.
 
-    One row per host kind (witness kind, shortest cycle, vertex test, pair
-    set) feeds one set of checks; the arcs or edges are those of
-    ``witness.items``, and a bipartite cycle must alternate parts first.
+    One body for every host kind: the sequence is mapped to the host's ids
+    and each consecutive pair tested against its rows.  A bipartite row holds
+    only ids of the other part, so a path along the rows alternates parts.
     """
-    if isinstance(host, Digraph):
-        row = DIGRAPH_CYCLE, 2, _is_vertex, host.arcs, False
-    elif isinstance(host, BipartiteGraph):
-        row = GRAPH_CYCLE, 3, _is_bipartite_vertex, host.edges, True
-    elif isinstance(host, Graph):
-        row = GRAPH_CYCLE, 3, _is_vertex, host.edges, False
-    else:
+    if not (isinstance(host, _HOSTS) and isinstance(witness, CycleWitness)):
         return False
-    kind, shortest, is_vertex, pairs, alternates = row
-    if not isinstance(witness, CycleWitness) or witness.kind != kind:
+    ids = [host.id_of(v) for v in witness.sequence]
+    if witness.kind != host.cycle_kind or len(ids) < host.shortest_cycle or None in ids:
         return False
-    seq = witness.sequence
-    if len(seq) < shortest or not all(is_vertex(v, host.n) for v in seq):
-        return False
-    if len(set(seq)) != len(seq):
-        return False
-    if alternates and any(a[0] == b[0] for a, b in zip(seq, seq[1:] + seq[:1])):
-        return False
-    return all(item in pairs for item in witness.items)
+    rows = host.rows
+    return len(set(ids)) == len(ids) and all(b in rows[a] for a, b in zip(ids, ids[1:] + ids[:1]))
 
 
 @dataclass(frozen=True)
@@ -388,9 +424,12 @@ class Matching:
     def __post_init__(self):
         cleaned = set()
         for item in self.pairs:
-            i, j = _as_pair(item)
+            try:
+                i, j = item
+            except (TypeError, ValueError):
+                raise GraphError(f"{item!r} is not a pair") from None
             for v in (i, j):
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                if not is_int(v) or v < 1:
                     raise GraphError(f"matching endpoint {v!r} is not a positive integer")
             cleaned.add((i, j))
         xs = [i for i, _ in cleaned]

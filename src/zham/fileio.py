@@ -20,6 +20,7 @@ from pathlib import Path
 from .core import KINDS, BipartiteGraph, Digraph, Graph, GraphError
 
 _HEADER_KINDS = {cls.letter: cls for cls in KINDS.values()}
+_VALUE_TYPES = tuple(KINDS.values())
 
 # largest header n accepted (vertices, or part size for B); building the
 # per-vertex tables of a larger graph could exhaust memory before any arc is read
@@ -110,13 +111,11 @@ def parse_graph_file(path):
 
 def serialize_graph(obj) -> str:
     """Canonical text form: header plus ascending edge lines, LF-terminated.
-    The header letter is the ``letter`` of the ``core.KINDS`` type ``obj``
-    is an instance of."""
-    cls = next((cls for cls in KINDS.values() if isinstance(obj, cls)), None)
-    if cls is None:
+    The header letter and the pairs are the ``letter`` and ``pairs`` of
+    ``obj``'s ``core.KINDS`` type."""
+    if not isinstance(obj, _VALUE_TYPES):
         raise GraphError(f"cannot serialize {type(obj).__name__}")
-    pairs = sorted(obj.arcs if cls is Digraph else obj.edges)
-    lines = [f"{cls.letter} {obj.n}"] + [f"{u} {v}" for u, v in pairs]
+    lines = [f"{obj.letter} {obj.n}"] + [f"{u} {v}" for u, v in sorted(obj.pairs)]
     return "\n".join(lines) + "\n"
 
 

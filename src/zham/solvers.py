@@ -8,7 +8,10 @@ running out is reported as an explicit outcome (``exhausted``), never
 conflated with "not found".  Returned witnesses are self-certified against
 the host before they leave a solver.  Strong connectivity and each
 Hamiltonian cycle search (per node budget) are memoised on the instance, so
-repeated questions about one value are answered once.
+repeated questions about one value are answered once.  One cycle search
+serves every kind: it walks the id space the host's type states (ids
+1..``id_count`` and their ``rows``) and maps the ids it finds back to the
+host's vertices.
 
 Every search keeps its own stack instead of recursing, so each works for
 any n.  ``extends_to_hamiltonian`` has no search of its own: it asks the
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 
 from .core import (
     DIGRAPH_CYCLE,
-    GRAPH_CYCLE,
     BipartiteGraph,
     CycleWitness,
     Digraph,
@@ -149,7 +151,7 @@ def strongly_connected(d: Digraph) -> bool:
 
 
 def _search_cycle(n, start, adj, budget):
-    """Backtracking cycle search over vertex ids 1..n (or 1..2n bipartite ids).
+    """Backtracking cycle search over the ids 1..n of a host's id space.
 
     ``adj[v]`` is the adjacency bitmask of v (bit w set for each neighbor w).
     Yields each spanning cycle as a tuple, always anchored at ``start`` and
@@ -248,25 +250,14 @@ def _graph_viable(g: Graph) -> bool:
     return g.n >= 3 and all(g.degree(v) >= 2 for v in g.vertices())
 
 
-def _bipartite_ids(g: BipartiteGraph):
-    """Internal 1..2n ids: x_i -> i, y_j -> n+j, with merged adjacency."""
-    n = g.n
-    adj = [()] * (2 * n + 1)
-    for i in range(1, n + 1):
-        adj[i] = tuple(n + j for j in g.neighbors_x(i))
-    for j in range(1, n + 1):
-        adj[n + j] = g.neighbors_y(j)
-    return adj
-
-
 def _find_cycle(host, viable, budget) -> SolveResult:
     """Prune, search and certify: the body of every ``find_hamiltonian_cycle*``.
 
-    ``viable`` is the host kind's necessary-condition prune.  A bipartite
-    host is searched on the merged ids of ``_bipartite_ids`` (parts alternate
-    by construction) and its witness is tagged back to ("x", i) / ("y", j)
-    vertices.  The result is memoised on ``host`` per node budget, so asking
-    again with the same budget returns it without a second search.
+    ``viable`` is the host kind's necessary-condition prune.  The search
+    walks the host's ids and rows (a bipartite host's merged ids, on which
+    parts alternate by construction) and its witness maps each id back to a
+    vertex of the host.  The result is memoised on ``host`` per node budget,
+    so asking again with the same budget returns it without a second search.
     """
     b = _Budget(budget)
     key = ("hamiltonian_cycle", b.limit)
@@ -279,23 +270,13 @@ def _find_cycle(host, viable, budget) -> SolveResult:
 def _solve_cycle(host, viable, b) -> SolveResult:
     if not viable(host):
         return SolveResult(False, None, 0)
-    n = host.n
-    bipartite = isinstance(host, BipartiteGraph)
-    if bipartite:
-        size, rows, kind = 2 * n, _bipartite_ids(host), GRAPH_CYCLE
-    elif isinstance(host, Digraph):
-        size, rows, kind = n, host._succ, DIGRAPH_CYCLE
-    else:
-        size, rows, kind = n, host._adj, GRAPH_CYCLE
     try:
-        seq = next(_search_cycle(size, 1, _masks(rows), b), None)
+        seq = next(_search_cycle(host.id_count, 1, _masks(host.rows), b), None)
     except BudgetExhausted:
         return SolveResult(False, None, b.spent, exhausted=True)
     if seq is None:
         return SolveResult(False, None, b.spent)
-    if bipartite:
-        seq = tuple(("x", v) if v <= n else ("y", v - n) for v in seq)
-    witness = CycleWitness(kind, seq)
+    witness = CycleWitness(host.cycle_kind, tuple(map(host.vertex_of, seq)))
     assert check_cycle(host, witness) and witness.is_hamiltonian(host)
     return SolveResult(True, witness, b.spent)
 

@@ -32,6 +32,7 @@ from .core import (
     bipartite_edge_universe,
     degree_table,
     graph_edge_universe,
+    is_int,
     pairs_json,
     witness_json,
 )
@@ -84,7 +85,7 @@ def _decoder(cls):
 
 
 def _check_enum_bounds(n, max_n, what):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise GraphError(f"{what} size must be a positive integer, got {n!r}")
     if n > max_n:
         raise GraphError(f"{what} enumeration capped at n={max_n}, got n={n}")

@@ -58,14 +58,20 @@ def zmap(d: Digraph) -> BipartiteGraph:
     return image
 
 
+def _refuse_diagonal(g, consequence):
+    """``SelfLoopError`` for an (x_i, y_i) edge of ``g``, which no digraph's
+    image has; the message ends with the ``consequence`` for the caller."""
+    for i, j in g.edges:
+        if i == j:
+            raise SelfLoopError(f"edge (x{i}, y{i}) {consequence}")
+
+
 def unzmap(g: BipartiteGraph) -> Digraph:
     """Inverse transform: arc u->v per edge (x_u, y_v).
 
     Rejects graphs with an (x_i, y_i) edge, which would create a self-loop.
     """
-    for i, j in g.edges:
-        if i == j:
-            raise SelfLoopError(f"edge (x{i}, y{i}) would map to a self-loop")
+    _refuse_diagonal(g, "would map to a self-loop")
     return Digraph(g.n, g.edges)
 
 
@@ -91,9 +97,7 @@ def ham_cycle_pullback(g: BipartiteGraph, witness: CycleWitness):
 
     Returns ``(first, second)`` as frozensets of arcs.
     """
-    for i, j in g.edges:
-        if i == j:
-            raise SelfLoopError(f"edge (x{i}, y{i}) admits no digraph preimage")
+    _refuse_diagonal(g, "admits no digraph preimage")
     if not (check_cycle(g, witness) and witness.is_hamiltonian(g)):
         raise GraphError("witness is not a Hamiltonian cycle of the bipartite graph")
     items = witness.items

@@ -182,6 +182,16 @@ class TestValidator:
             ),
             (lambda: Digraph(3, [(2, 2)]), SelfLoopError, "self-loop at vertex 2"),
             (lambda: Graph(3, [(_Int(3), 3)]), SelfLoopError, "self-loop at vertex 3"),
+            # build_digraph leaves every pair to the same validator
+            (lambda: build_digraph(3, [[5]]), GraphError, "[5] is not a pair"),
+            (lambda: build_digraph(3, [[1, 2, 3]]), GraphError, "[1, 2, 3] is not a pair"),
+            (lambda: build_digraph(3, [[1, 5]]), VertexRangeError, "vertex 5 out of range 1..3"),
+            (lambda: build_digraph(4, [[4, 4]]), SelfLoopError, "self-loop at vertex 4"),
+            (
+                lambda: build_digraph(3, [([1], 2)]),
+                GraphError,
+                "endpoint [1] is not an integer",
+            ),
         ],
     )
     def test_messages(self, build, error, message):

@@ -408,15 +408,6 @@ class TestNodeCounts:
         assert result.nodes_explored == limit + 1
 
 
-def _kernel_input(host):
-    """(id count, adjacency rows) that the solvers search ``host`` on."""
-    if isinstance(host, BipartiteGraph):
-        return 2 * host.n, solvers._bipartite_ids(host)
-    if isinstance(host, Digraph):
-        return host.n, host._succ
-    return host.n, host._adj
-
-
 def _run_kernel(kernel, size, adjacency, limit, first_only):
     """The cycles a kernel yields (the first only, or all), the nodes it
     spent, and whether it ran out of budget."""
@@ -447,7 +438,8 @@ class TestCycleKernelMatchesReference:
 
     @staticmethod
     def _check(host, limit):
-        size, rows = _kernel_input(host)
+        # the id space the solvers search ``host`` on
+        size, rows = host.id_count, host.rows
         for first_only in (True, False):
             got = _run_kernel(solvers._search_cycle, size, solvers._masks(rows), limit, first_only)
             want = _run_kernel(search_cycle_reference, size, rows.__getitem__, limit, first_only)

@@ -321,6 +321,94 @@ def test_the_check_sees_kind_tables():
     assert kind_keyed_dicts(KIND_TABLES) == ["LABELS", "LETTERS", "pick"]
 
 
+# the value types whose id space, rows and pairs are stated on the type
+VALUE_TYPES = {"Digraph", "Graph", "BipartiteGraph"}
+# the one place that renders each kind's own DOT syntax
+TYPE_TESTS_ALLOWED = {"fileio.to_dot"}
+
+
+def _names_value_type(node):
+    return (
+        isinstance(node, ast.Name) and node.id in VALUE_TYPES
+        or isinstance(node, ast.Attribute) and node.attr in VALUE_TYPES
+        or isinstance(node, ast.Tuple) and any(_names_value_type(e) for e in node.elts)
+    )
+
+
+def value_type_tests(text):
+    """Where Python source ``text`` tests a value against a named value type
+    (``isinstance(x, Digraph)``, a tuple of types included, or ``cls is
+    Digraph`` / ``is not``): the innermost enclosing function, else
+    ``<module>``, one entry per test."""
+    tree = ast.parse(text)
+    functions = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            tested = (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and _names_value_type(node.args[1])
+            )
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            tested = any(
+                isinstance(op, (ast.Is, ast.IsNot))
+                and (_names_value_type(a) or _names_value_type(b))
+                for op, a, b in zip(node.ops, operands, operands[1:])
+            )
+        else:
+            continue
+        if tested:
+            enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            found.append(max(enclosing, key=lambda f: f.lineno).name if enclosing else "<module>")
+    return found
+
+
+def test_no_module_dispatches_on_value_type():
+    # each value type states its id space, rows and pairs itself, so the
+    # certificate check, the cycle search and serialization read them
+    # instead of telling the kinds apart
+    tests = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "core.py"
+        for name in value_type_tests(path.read_text(encoding="utf-8"))
+    }
+    assert tests - TYPE_TESTS_ALLOWED == set()
+
+
+TYPE_TESTS = '''\
+from . import core
+from .core import KINDS, BipartiteGraph, Digraph, Graph
+
+assert isinstance(KINDS["graph"](1), Graph)
+
+
+def serialize(obj):
+    cls = type(obj)
+    pairs = obj.arcs if cls is Digraph else obj.edges
+    return isinstance(obj, (core.BipartiteGraph, int)), pairs
+
+
+def solve(host):
+    def inner():
+        return type(host) is not BipartiteGraph
+
+    if isinstance(host, tuple(KINDS.values())) and host.kind == "digraph":
+        return inner(), isinstance(host, dict), host is None
+    return isinstance(host)
+'''
+
+
+def test_the_check_sees_value_type_tests():
+    assert value_type_tests(TYPE_TESTS) == ["<module>", "serialize", "serialize", "inner"]
+
+
 def raised_names(text):
     """Names of the exceptions that Python source ``text`` raises by name
     (``raise E``, ``raise E(...)``, ``raise mod.E(...)``), one per raise
