@@ -17,9 +17,11 @@ that take an extra argument, ``moon_moser_k`` and ``ore_bipartite``, check
 it before they pass the gate.
 
 A hypothesis is decided before it is explained.  Each predicate describes
-its violators as one sequence in a fixed order, decides
-``hypothesis_holds`` from the sequence's first item alone, and lists the
-whole sequence only when ``violating_items`` is first read.  Degrees come
+its violators as one sequence in a fixed order and lists the whole
+sequence only when ``violating_items`` is first read.  A single-bound
+hypothesis is decided by one comparison: the minimum degree against the
+bound, or the low-degree count against its allowance.  A pair-deficit
+hypothesis is decided from its sequence's first item alone.  Degrees come
 from ``core.degree_table``, one table per instance, memoised on it like
 strong connectivity.
 
@@ -68,10 +70,13 @@ class ConditionReport:
         self._items, self._violators = items, None
 
     @classmethod
-    def _decide(cls, condition_id, violators, parameters, note=""):
-        """The report whose hypothesis holds when ``violators()``, a fresh
-        iterator over the violators in order, yields nothing."""
-        holds = next(violators(), None) is None
+    def _decide(cls, condition_id, violators, parameters, note="", holds=None):
+        """The report on the violators ``violators()``, a fresh iterator over
+        them in order, whose hypothesis ``holds`` exactly when that iterator
+        would yield nothing.  Left as None, ``holds`` is decided by pulling
+        the first violator."""
+        if holds is None:
+            holds = next(violators(), None) is None
         report = cls.__new__(cls)
         report._condition_id, report._holds, report._note = condition_id, holds, note
         report._parameters = parameters
@@ -129,11 +134,12 @@ def _condition(condition_id, minimum, note="", strong=False):
 
     The one size gate: an instance with ``n`` below ``minimum`` (vertices,
     or part size for a bipartite graph) gets the "n too small" report.  Any
-    other gets the report decided from ``body(instance, *extra)``, which
-    returns the violator sequence and the parameters, with ``note``.  When
-    ``strong``, ``NOT_STRONG`` leads the violators of a digraph that is not
-    strongly connected.  The predicate keeps the body's name, signature and
-    docstring, and takes its arguments by position.
+    other gets the report from ``body(instance, *extra)``, which returns the
+    decision (None to decide from the first violator), the violator
+    sequence and the parameters, with ``note``.  When ``strong``,
+    ``NOT_STRONG`` leads the violators of a digraph that is not strongly
+    connected, whose hypothesis then fails.  The predicate keeps the body's
+    name, signature and docstring, and takes its arguments by position.
     """
 
     def declare(body):
@@ -150,10 +156,10 @@ def _condition(condition_id, minimum, note="", strong=False):
                 )
             # body(*args) passes the tuple on as it is; body(instance, *args)
             # would build a second one on every call
-            violators, parameters = body(*args)
+            holds, violators, parameters = body(*args)
             if strong and not strongly_connected(args[0]):
-                violators = partial(_not_strong_then, violators)
-            return ConditionReport._decide(condition_id, violators, parameters, note)
+                holds, violators = False, partial(_not_strong_then, violators)
+            return ConditionReport._decide(condition_id, violators, parameters, note, holds)
 
         return predicate
 
@@ -174,34 +180,39 @@ def _low_vertices(labels, degrees, scale, bound):
             yield {"vertex": v, "degree": d}
 
 
-def _no_violators():
-    return iter(())
+def _min_degree(labels, degrees, scale, bound, parameters):
+    """The minimum-degree test: every vertex has ``scale * degree >=
+    bound``.  Returns its decision, on the minimum degree alone, the
+    violator sequence and ``parameters``."""
+    violators = partial(_low_vertices, labels, degrees, scale, bound)
+    return scale * min(degrees) >= bound, violators, parameters
 
 
 def _low_count(labels, degrees, scale, bound, allowance, parameters):
     """The low-degree count test: the vertices with ``scale * degree <
     bound`` violate it, every one of them, when there are more than
-    ``allowance``.  Returns their violator sequence (empty within the
-    allowance) and ``parameters`` with their count added as ``s_size``."""
+    ``allowance``.  Returns its decision, their violator sequence (empty
+    within the allowance) and ``parameters`` with their count added as
+    ``s_size``."""
     s_size = len([d for d in degrees if scale * d < bound])
     parameters["s_size"] = s_size
     if s_size <= allowance:
-        return _no_violators, parameters
-    return partial(_low_vertices, labels, degrees, scale, bound), parameters
+        return True, partial(iter, ()), parameters
+    return False, partial(_low_vertices, labels, degrees, scale, bound), parameters
 
 
 @_condition("dirac", 3)
 def dirac(g: Graph) -> ConditionReport:
     """Every vertex satisfies 2*d(u) >= n (graphs with n > 2)."""
     labels, degrees = degree_table(g)
-    return partial(_low_vertices, labels, degrees, 2, g.n), {"n": g.n}
+    return _min_degree(labels, degrees, 2, g.n, {"n": g.n})
 
 
 @_condition("ghouila-houri", 3, strong=True)
 def ghouila_houri(d: Digraph) -> ConditionReport:
     """Strongly connected and every vertex satisfies d(u) >= n (n > 2)."""
     labels, degrees, _, _ = degree_table(d)
-    return partial(_low_vertices, labels, degrees, 1, d.n), {"n": d.n}
+    return _min_degree(labels, degrees, 1, d.n, {"n": d.n})
 
 
 @_condition("faudree", 3)
@@ -239,7 +250,7 @@ def _moon_moser_k(g, k):
 def moon_moser_half(g: BipartiteGraph) -> ConditionReport:
     """Every vertex of both parts satisfies 2*d(u) > n (part size >= 2)."""
     labels, degrees = degree_table(g)
-    return partial(_low_vertices, labels, degrees, 2, g.n + 1), {"n": g.n}
+    return _min_degree(labels, degrees, 2, g.n + 1, {"n": g.n})
 
 
 @_condition("cor1-disjoint-hc", 3, "disjoint = arc-disjoint", strong=True)
@@ -253,7 +264,7 @@ def disjoint_hc_degree(d: Digraph) -> ConditionReport:
             if 2 * out <= n or 2 * in_ <= n:
                 yield {"vertex": v, "out_degree": out, "in_degree": in_}
 
-    return low_vertices, {"n": n}
+    return 2 * min(outs) > n and 2 * min(ins) > n, low_vertices, {"n": n}
 
 
 @_condition("las-vergnas", 2)
@@ -262,21 +273,21 @@ def las_vergnas(g: BipartiteGraph) -> ConditionReport:
 
     Vacuously true for complete bipartite graphs (part size >= 2 required).
     """
-    return _cross_pair_deficits(g, g.n + 2), {"n": g.n}
+    return None, _cross_pair_deficits(g, g.n + 2), {"n": g.n}
 
 
 @_condition("woodall", 3, strong=True)
 def woodall(d: Digraph) -> ConditionReport:
     """Strongly connected and d+(u) + d-(v) >= n for every ordered non-arc
     pair u != v.  Vacuously true for the complete digraph."""
-    return _pair_deficits(d, d.n), {"n": d.n}
+    return None, _pair_deficits(d, d.n), {"n": d.n}
 
 
 @_condition("cor2-woodall-plus2", 3, "disjoint = arc-disjoint")
 def woodall_plus2(d: Digraph) -> ConditionReport:
     """Like ``woodall`` with threshold n + 2, but with no connectivity clause
     (the strengthened statement has none)."""
-    return _pair_deficits(d, d.n + 2), {"n": d.n}
+    return None, _pair_deficits(d, d.n + 2), {"n": d.n}
 
 
 def _pair_deficits(d, threshold):
@@ -286,10 +297,10 @@ def _pair_deficits(d, threshold):
 
     def violators():
         for u, out in zip(vertices, outs):
-            successors = d.successors(u)
+            successors = d.masks[u]
             for v, in_ in zip(vertices, ins):
                 total = out + in_
-                if total < threshold and u != v and v not in successors:
+                if total < threshold and u != v and not successors >> v & 1:
                     yield {"pair": [u, v], "degree_sum": total}
 
     return violators
@@ -307,7 +318,7 @@ def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
 
 
 def _ore(g, threshold):
-    return _cross_pair_deficits(g, threshold), {"n": g.n, "threshold": threshold}
+    return None, _cross_pair_deficits(g, threshold), {"n": g.n, "threshold": threshold}
 
 
 _ore_pm = _condition("cor3-ore-pm", 2)(_ore)
@@ -322,10 +333,10 @@ def _cross_pair_deficits(g, threshold):
 
     def violators():
         for i, x_degree in enumerate(degrees[:n], 1):
-            neighbors = g.neighbors_x(i)
+            neighbors = g.x_masks[i]
             for j, y_degree in enumerate(degrees[n:], 1):
                 total = x_degree + y_degree
-                if total < threshold and j not in neighbors:
+                if total < threshold and not neighbors >> j & 1:
                     yield {"pair": [labels[i - 1], labels[n + j - 1]], "degree_sum": total}
 
     return violators

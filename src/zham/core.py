@@ -6,23 +6,31 @@ All types are immutable after construction and validate their invariants in
 ``__post_init__``; instances are safe to share between threads.  Vertices are
 1-based integers; bipartite vertices are ``("x", i)`` / ``("y", j)`` tags.
 
-Each graph type also states its id space (see ``KINDS``): ids 1..n, or 1..2n
-for a bipartite graph, whose x_i is id i and y_j id n + j, with an adjacency
-row per id.  The cycle search and the certificate check walk those ids alone,
-so neither tells the kinds apart.
+Each graph type indexes its pairs as bitmask rows, filled by the validating
+pass of its constructor: bit v of row u for each pair (u, v) out of u, so
+a degree is one ``int.bit_count`` and an adjacency test one shift.  Each
+also states its id space (see ``KINDS``): ids 1..n, or 1..2n for a
+bipartite graph, whose x_i is id i and y_j id n + j, with an adjacency
+bitmask per id.  The cycle search and the certificate check walk those ids
+alone, so neither tells the kinds apart.  The ascending tuple rows behind
+``successors``, ``predecessors`` and ``neighbors*`` are derived from the
+masks on first read and then kept on the instance; a constructor never
+builds them.
 
 ``Digraph``, ``Graph`` and ``BipartiteGraph`` carry a private ``_memo`` dict
 that the solvers, the Z-mapping and the condition predicates fill with facts
 derived deterministically from the value (strong connectivity, a cycle
 search per node budget, the bipartite image, the ``degree_table``).  It
-never takes part in equality, hashing or ``repr``, and it lives exactly as
-long as the instance, so the value stays immutable.  It is safe to share
-between threads: a race at worst computes an equal result twice.
+never takes part in equality, hashing or ``repr``, nor do the derived tuple
+rows and a bipartite graph's id masks, and all live exactly as long as the
+instance, so the value stays immutable.  All are safe to share between
+threads: a race at worst computes an equal result twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 
@@ -55,25 +63,34 @@ def _check_endpoint(v, n, where=""):
         raise VertexRangeError(f"vertex {v} out of range 1..{n}{where}")
 
 
-def _index_pairs(obj, name, rows, bipartite=False):
+def _index_pairs(obj, name, masks, bipartite=False):
     """Validate and index the pairs field ``name`` of the value ``obj``.
 
     The one validator of the three graph types: ``n`` must be a positive
     int, each pair two int endpoints in 1..n and, unless ``bipartite``, no
     pair a self-loop.  A bipartite value's n is a part size and its messages
-    name the part of an endpoint; its (i, i) joins x_i to y_i.  With two
-    ``rows`` names the pairs fill a row per first endpoint and a row per
-    second; with one (``Graph``) each pair is normalised to (min, max) and
-    fills one row from both ends.  Rows come out ascending either way.
+    name the part of an endpoint; its (i, i) joins x_i to y_i.  In the same
+    pass each pair (u, v) sets bit v of row u in the first bitmask table and
+    bit u of row v in the second, stored under the field names ``masks``;
+    with one name (``Graph``) both bits go to one table and the pair is
+    normalised to (min, max).  A repeated pair sets the same bits again.
+    The field is then set to the frozenset of the pairs as tuples.
     """
     n = obj.n
     size = "part size" if bipartite else "vertex count"
     parts = (" (x part)", " (y part)") if bipartite else ("", "")
     if not is_int(n) or n < 1:
         raise GraphError(f"{size} must be a positive integer, got {n!r}")
-    undirected = len(rows) == 1
-    cleaned = set()
-    for item in getattr(obj, name):
+    undirected = len(masks) == 1
+    first = [0] * (n + 1)
+    second = first if undirected else [0] * (n + 1)
+    pairs = getattr(obj, name)
+    # a frozenset of tuples already in normal form is kept as it is; other
+    # input, perhaps a one-shot iterator whose items are checked as they
+    # come, is gathered in normal form as it is read
+    gather = type(pairs) is not frozenset
+    exact, cleaned = not gather, set()
+    for item in pairs:
         try:
             u, v = item
         except (TypeError, ValueError):
@@ -83,17 +100,32 @@ def _index_pairs(obj, name, rows, bipartite=False):
             _check_endpoint(v, n, parts[1])
         if not bipartite and u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        cleaned.add((v, u) if undirected and v < u else (u, v))
-    first = [[] for _ in range(n + 1)]
-    # a Graph's one row per vertex gets its smaller neighbours, then its
-    # larger ones, both ascending in sorted pair order
-    second = first if undirected else [[] for _ in range(n + 1)]
-    for u, v in sorted(cleaned):
-        first[u].append(v)
-        second[v].append(u)
-    object.__setattr__(obj, name, frozenset(cleaned))
-    for row, table in zip(rows, (first, second)):
-        object.__setattr__(obj, row, tuple(map(tuple, table)))
+        first[u] |= 1 << v
+        second[v] |= 1 << u
+        if gather:
+            cleaned.add((v, u) if undirected and v < u else (u, v))
+        elif type(item) is not tuple or undirected and v < u:
+            exact = False
+    if not exact:
+        pairs = cleaned if gather else {(v, u) if undirected and v < u else (u, v) for u, v in pairs}
+    object.__setattr__(obj, name, frozenset(pairs))
+    for field_name, table in zip(masks, (first, second)):
+        object.__setattr__(obj, field_name, tuple(table))
+
+
+# the tuple rows behind successors, predecessors and neighbors* are each a
+# cached_property of the types below: a non-data descriptor that maps a mask
+# field through _set_bits once per instance and stores the rows in the
+# instance __dict__, so every later read is a plain attribute lookup; not a
+# dataclass field, so equality, hashing and repr ignore it
+def _set_bits(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
 
 
 def _own_id(host, v):
@@ -132,18 +164,21 @@ class Digraph:
     shortest_cycle = 2  # a digon uses two distinct arcs
     pairs = property(attrgetter("arcs"))
     id_count = property(attrgetter("n"))
-    rows = property(attrgetter("_succ"))
+    masks = property(attrgetter("_out_masks"))
+    in_masks = property(attrgetter("_in_masks"))
     id_of = _own_id
     vertex_of = _own_vertex
+    _succ = cached_property(lambda self: tuple(map(_set_bits, self._out_masks)))
+    _pred = cached_property(lambda self: tuple(map(_set_bits, self._in_masks)))
 
     n: int
     arcs: frozenset = frozenset()
-    _succ: tuple = field(init=False, repr=False, compare=False)
-    _pred: tuple = field(init=False, repr=False, compare=False)
+    _out_masks: tuple = field(init=False, repr=False, compare=False)
+    _in_masks: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _index_pairs(self, "arcs", ("_succ", "_pred"))
+        _index_pairs(self, "arcs", ("_out_masks", "_in_masks"))
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -155,21 +190,21 @@ class Digraph:
         return self._pred[u]
 
     def out_degree(self, u):
-        return len(self._succ[u])
+        return self._out_masks[u].bit_count()
 
     def in_degree(self, u):
-        return len(self._pred[u])
+        return self._in_masks[u].bit_count()
 
     def degree(self, u):
         """Total degree d(u) = d+(u) + d-(u)."""
-        return len(self._succ[u]) + len(self._pred[u])
+        return self._out_masks[u].bit_count() + self._in_masks[u].bit_count()
 
     def has_arc(self, u, v):
         return (u, v) in self.arcs
 
     def _degrees(self):
-        outs = tuple(map(len, self._succ[1:]))
-        ins = tuple(map(len, self._pred[1:]))
+        outs = tuple(map(int.bit_count, self._out_masks[1:]))
+        ins = tuple(map(int.bit_count, self._in_masks[1:]))
         return self.vertices(), tuple(map(int.__add__, outs, ins)), outs, ins
 
     def __repr__(self):
@@ -194,17 +229,18 @@ class Graph:
     shortest_cycle = 3
     pairs = property(attrgetter("edges"))
     id_count = property(attrgetter("n"))
-    rows = property(attrgetter("_adj"))
+    masks = property(attrgetter("_adj_masks"))
     id_of = _own_id
     vertex_of = _own_vertex
+    _adj = cached_property(lambda self: tuple(map(_set_bits, self._adj_masks)))
 
     n: int
     edges: frozenset = frozenset()
-    _adj: tuple = field(init=False, repr=False, compare=False)
+    _adj_masks: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _index_pairs(self, "edges", ("_adj",))
+        _index_pairs(self, "edges", ("_adj_masks",))
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -213,13 +249,13 @@ class Graph:
         return self._adj[u]
 
     def degree(self, u):
-        return len(self._adj[u])
+        return self._adj_masks[u].bit_count()
 
     def has_edge(self, u, v):
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def _degrees(self):
-        return self.vertices(), tuple(map(len, self._adj[1:]))
+        return self.vertices(), tuple(map(int.bit_count, self._adj_masks[1:]))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -241,15 +277,18 @@ class BipartiteGraph:
     cycle_kind = GRAPH_CYCLE
     shortest_cycle = 3
     pairs = property(attrgetter("edges"))
+    x_masks = property(attrgetter("_x_masks"))
+    _adj_x = cached_property(lambda self: tuple(map(_set_bits, self._x_masks)))
+    _adj_y = cached_property(lambda self: tuple(map(_set_bits, self._y_masks)))
 
     n: int
     edges: frozenset = frozenset()
-    _adj_x: tuple = field(init=False, repr=False, compare=False)
-    _adj_y: tuple = field(init=False, repr=False, compare=False)
+    _x_masks: tuple = field(init=False, repr=False, compare=False)
+    _y_masks: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _index_pairs(self, "edges", ("_adj_x", "_adj_y"), bipartite=True)
+        _index_pairs(self, "edges", ("_x_masks", "_y_masks"), bipartite=True)
 
     def neighbors_x(self, i):
         """y-indices adjacent to x_i, ascending."""
@@ -260,27 +299,23 @@ class BipartiteGraph:
         return self._adj_y[j]
 
     def degree_x(self, i):
-        return len(self._adj_x[i])
+        return self._x_masks[i].bit_count()
 
     def degree_y(self, j):
-        return len(self._adj_y[j])
+        return self._y_masks[j].bit_count()
 
     @property
     def id_count(self):
         return 2 * self.n
 
-    @property
-    def rows(self):
-        """Adjacency rows over the ids 1..2n, memoised: x_i's row holds n + j
-        for each neighbour y_j and y_j's row the i of each neighbour x_i, so
-        a row holds only ids of the other part.  Built on first use, never
-        by the constructor."""
-        rows = self._memo.get("rows")
-        if rows is None:
-            n = self.n
-            x_rows = tuple(tuple(n + j for j in row) for row in self._adj_x[1:])
-            rows = self._memo["rows"] = ((),) + x_rows + self._adj_y[1:]
-        return rows
+    @cached_property
+    def masks(self):
+        """Adjacency bitmasks over the ids 1..2n, built on first read and
+        kept like the tuple rows, never by the constructor: x_i's mask has
+        bit n + j for each neighbour y_j and y_j's mask bit i for each
+        neighbour x_i, so a mask holds only ids of the other part."""
+        n = self.n
+        return (0, *(m << n for m in self._x_masks[1:]), *self._y_masks[1:])
 
     def id_of(self, vertex):
         """x_i -> i, y_j -> n + j; None for anything that is not a vertex."""
@@ -305,12 +340,18 @@ class BipartiteGraph:
         return (i, j) in self.edges
 
     def _degrees(self):
-        parts = range(1, self.n + 1)
-        labels = tuple([f"x{i}" for i in parts] + [f"y{j}" for j in parts])
-        return labels, tuple(map(len, self._adj_x[1:] + self._adj_y[1:]))
+        degrees = tuple(map(int.bit_count, self._x_masks[1:] + self._y_masks[1:]))
+        return _part_labels(self.n), degrees
 
     def __repr__(self):
         return f"BipartiteGraph(n={self.n}, edges={sorted(self.edges)})"
+
+
+@lru_cache(maxsize=16)
+def _part_labels(n):
+    """"x1".."xn", "y1".."yn": the bipartite degree-table labels, one shared
+    tuple per part size."""
+    return tuple([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, n + 1)])
 
 
 # the one table of instance kinds, kind name -> value type, in sweep order;
@@ -319,8 +360,8 @@ class BipartiteGraph:
 # ``letter``, the ``label`` messages name its input by, ``max_n``, the largest
 # n it is enumerated exhaustively at, and ``universe(n)``, its possible
 # arcs or edges in enumeration-bit order.  Beside them each states its id
-# space: ``id_count``, ``rows`` (row v lists the ids adjacent to id v, row 0
-# empty), ``id_of`` (witness vertex -> id, None for a non-vertex) and
+# space: ``id_count``, ``masks`` (bit w of mask v set for each id w adjacent
+# to id v, mask 0 empty), ``id_of`` (witness vertex -> id, None for a non-vertex) and
 # ``vertex_of``; its cycle witnesses' ``cycle_kind`` and ``shortest_cycle``;
 # and ``pairs``, its arc or edge set
 KINDS = {cls.kind: cls for cls in (Digraph, BipartiteGraph, Graph)}
@@ -403,16 +444,19 @@ def check_cycle(host, witness) -> bool:
     length.  Never raises: malformed witnesses simply fail.
 
     One body for every host kind: the sequence is mapped to the host's ids
-    and each consecutive pair tested against its rows.  A bipartite row holds
-    only ids of the other part, so a path along the rows alternates parts.
+    and each consecutive pair tested against its id masks.  A bipartite mask
+    holds only ids of the other part, so a path along the masks alternates
+    parts.
     """
     if not (isinstance(host, _HOSTS) and isinstance(witness, CycleWitness)):
         return False
     ids = [host.id_of(v) for v in witness.sequence]
     if witness.kind != host.cycle_kind or len(ids) < host.shortest_cycle or None in ids:
         return False
-    rows = host.rows
-    return len(set(ids)) == len(ids) and all(b in rows[a] for a, b in zip(ids, ids[1:] + ids[:1]))
+    masks = host.masks
+    return len(set(ids)) == len(ids) and all(
+        masks[a] >> b & 1 for a, b in zip(ids, ids[1:] + ids[:1])
+    )
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ the host before they leave a solver.  Strong connectivity and each
 Hamiltonian cycle search (per node budget) are memoised on the instance, so
 repeated questions about one value are answered once.  One cycle search
 serves every kind: it walks the id space the host's type states (ids
-1..``id_count`` and their ``rows``) and maps the ids it finds back to the
-host's vertices.
+1..``id_count`` and their adjacency ``masks``) and maps the ids it finds
+back to the host's vertices.  Strong connectivity grows reached-id masks
+along the same bitmask rows, and every prune reads ``degree_table``.
 
 Every search keeps its own stack instead of recursing, so each works for
 any n.  ``extends_to_hamiltonian`` has no search of its own: it asks the
@@ -37,6 +38,7 @@ from .core import (
     GraphError,
     Matching,
     check_cycle,
+    degree_table,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -124,28 +126,31 @@ def strongly_connected_components(d: Digraph):
     return components
 
 
-def _reaches_all(adjacency, n):
-    """True when every vertex of 1..n is reachable from vertex 1."""
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def _reaches_all(masks, n):
+    """True when every vertex of 1..n is reachable from vertex 1 along the
+    bitmask rows ``masks``: each reached vertex not yet expanded (a bit of
+    ``frontier``) adds the unreached bits of its row to both masks."""
+    seen = frontier = 2
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen == (1 << (n + 1)) - 2
 
 
 def strongly_connected(d: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path.
 
-    Two iterative sweeps from vertex 1, one forward and one backward, so any
-    n works.  The answer is memoised on ``d``.
+    Two sweeps from vertex 1, one forward over the out-masks and one
+    backward over the in-masks, so any n works.  The answer is memoised on
+    ``d``.
     """
     strong = d._memo.get("strongly_connected")
     if strong is None:
         strong = d._memo["strongly_connected"] = (
-            _reaches_all(d._succ, d.n) and _reaches_all(d._pred, d.n)
+            _reaches_all(d.masks, d.n) and _reaches_all(d.in_masks, d.n)
         )
     return strong
 
@@ -219,42 +224,31 @@ def _search_cycle(n, start, adj, budget):
     budget.spent = spent
 
 
-def _masks(rows):
-    """Adjacency bitmasks of adjacency rows: bit w of ``masks[v]`` for each
-    w in ``rows[v]``."""
-    return [sum(1 << w for w in row) for row in rows]
-
-
 def _digraph_viable(d: Digraph, k=1) -> bool:
     """n > 1, every in- and out-degree at least ``k``, and strongly connected.
 
     Necessary for a Hamiltonian cycle (k = 1) and for two arc-disjoint ones
     (k = 2).  Strong connectivity, the costly test, runs last.
     """
-    return (
-        d.n > 1
-        and all(d.out_degree(v) >= k and d.in_degree(v) >= k for v in d.vertices())
-        and strongly_connected(d)
-    )
+    # degree_table(d)[2:] holds the out-degrees and the in-degrees
+    return d.n > 1 and min(map(min, degree_table(d)[2:])) >= k and strongly_connected(d)
 
 
 def _bipartite_viable(g: BipartiteGraph) -> bool:
     """Part size >= 2 and every vertex of degree >= 2: necessary for a
     Hamiltonian cycle and for two edge-disjoint perfect matchings."""
-    return g.n >= 2 and all(
-        g.degree_x(i) >= 2 and g.degree_y(i) >= 2 for i in range(1, g.n + 1)
-    )
+    return g.n >= 2 and min(degree_table(g)[1]) >= 2
 
 
 def _graph_viable(g: Graph) -> bool:
-    return g.n >= 3 and all(g.degree(v) >= 2 for v in g.vertices())
+    return g.n >= 3 and min(degree_table(g)[1]) >= 2
 
 
 def _find_cycle(host, viable, budget) -> SolveResult:
     """Prune, search and certify: the body of every ``find_hamiltonian_cycle*``.
 
     ``viable`` is the host kind's necessary-condition prune.  The search
-    walks the host's ids and rows (a bipartite host's merged ids, on which
+    walks the host's ids and masks (a bipartite host's merged ids, on which
     parts alternate by construction) and its witness maps each id back to a
     vertex of the host.  The result is memoised on ``host`` per node budget,
     so asking again with the same budget returns it without a second search.
@@ -271,7 +265,7 @@ def _solve_cycle(host, viable, b) -> SolveResult:
     if not viable(host):
         return SolveResult(False, None, 0)
     try:
-        seq = next(_search_cycle(host.id_count, 1, _masks(host.rows), b), None)
+        seq = next(_search_cycle(host.id_count, 1, host.masks, b), None)
     except BudgetExhausted:
         return SolveResult(False, None, b.spent, exhausted=True)
     if seq is None:
@@ -384,7 +378,7 @@ def _iter_perfect_matchings(g: BipartiteGraph, budget):
     Spends one budget node per tentative pair assignment.
     """
     n = g.n
-    if any(g.degree_x(i) == 0 or g.degree_y(i) == 0 for i in range(1, n + 1)):
+    if 0 in degree_table(g)[1]:
         return
     used = 0  # bit j set while y_j is taken
     chosen = []
@@ -422,7 +416,7 @@ def _digraph_cycles(d: Digraph, b, k=1):
     """Every Hamiltonian cycle of ``d`` as a vertex tuple anchored at 1,
     charged to ``b``; none, at no cost, unless ``_digraph_viable(d, k)``."""
     if _digraph_viable(d, k):
-        yield from _search_cycle(d.n, 1, _masks(d._succ), b)
+        yield from _search_cycle(d.n, 1, d.masks, b)
 
 
 def enumerate_hamiltonian_cycles(d: Digraph, budget=None):

@@ -689,6 +689,11 @@ class StoreError(Exception):
     """The JSON-lines counterexample store could not be read or written."""
 
 
+# the encoder of every store line: ``json.dumps(record, sort_keys=True)``,
+# built once rather than per line
+_STORE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class CounterexampleStore:
     """Append-only JSON-lines store, one counterexample object per line."""
 
@@ -707,7 +712,7 @@ class CounterexampleStore:
                         "tool_version": __version__,
                         "rng_seed": rng_seed,
                     }
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+                    fh.write(_STORE_ENCODER.encode(record) + "\n")
         except OSError as exc:
             raise StoreError(f"cannot append to store {self.path}: {exc}") from exc
 

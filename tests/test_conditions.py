@@ -447,6 +447,26 @@ def test_every_condition_matches_the_eager_reference_exhaustively():
     assert seen == set(CONDITION_IDS)
 
 
+def test_each_decision_matches_its_listing_exhaustively():
+    # the single-bound predicates decide by one comparison, the pair-deficit
+    # ones by a first violator; either way the decision is what the listing
+    # shows
+    instances = [
+        *(d for n in range(1, 5) for d in enumerate_digraphs(n)),
+        *(g for n in range(1, 4) for g in enumerate_bipartite(n)),
+        *(g for n in range(1, 6) for g in enumerate_graphs(n)),
+    ]
+    registry = build_registry()
+    for instance in instances:
+        for cid, (kind, predicate) in registry.items():
+            if kind != _KINDS[type(instance)]:
+                continue
+            ks = range(2, instance.n) if cid == "moon-moser-k" else [None]
+            for k in ks:
+                report = predicate(instance) if k is None else predicate(instance, k)
+                assert report.hypothesis_holds == (not report.violating_items), (cid, instance, k)
+
+
 def test_the_registry_lists_each_condition_once_with_its_kind():
     registry = build_registry()
     assert tuple(registry) == CONDITION_IDS

@@ -1,3 +1,4 @@
+import pickle
 from itertools import permutations, product
 
 import pytest
@@ -21,7 +22,7 @@ from zham import (
     degrees,
     format_bipartite_vertex,
 )
-from zham.core import arc_universe, bipartite_edge_universe, graph_edge_universe
+from zham.core import arc_universe, bipartite_edge_universe, degree_table, graph_edge_universe
 from zham.verifier import enumerate_bipartite, enumerate_digraphs, enumerate_graphs
 
 from brute import (
@@ -408,3 +409,96 @@ class TestAdjacencyRows:
             assert _ascending(g.neighbors_y(i))
             assert set(g.neighbors_x(i)) == {j for a, j in g.edges if a == i}
             assert set(g.neighbors_y(i)) == {a for a, j in g.edges if j == i}
+
+
+@st.composite
+def _given_pairs(draw):
+    """A value type, n <= 8 and pairs of its kind as a caller may give them:
+    a list with repeats, each pair a tuple or a list, some reversed; or a
+    frozenset of such pairs as tuples."""
+    cls = draw(st.sampled_from(list(KINDS.values())))
+    n = draw(st.integers(1, 8))
+    universe = cls.universe(n)
+    pairs = []
+    for u, v in draw(st.lists(st.sampled_from(universe), max_size=40)) if universe else ():
+        if draw(st.booleans()):
+            u, v = v, u
+        pairs.append([u, v] if draw(st.booleans()) else (u, v))
+    pairs += pairs[: draw(st.integers(0, len(pairs)))]
+    return cls, n, frozenset(map(tuple, pairs)) if draw(st.booleans()) else pairs
+
+
+def _bits(ids):
+    return sum(1 << i for i in ids)
+
+
+def _recounted_rows(host):
+    """Each row method's rows, recounted from ``host``'s pairs: row name ->
+    the set of neighbours of each index 0..n, row 0 empty."""
+    ids, pairs = range(host.n + 1), host.pairs
+    heads = [{b for a, b in pairs if a == u} for u in ids]
+    tails = [{a for a, b in pairs if b == u} for u in ids]
+    if isinstance(host, Digraph):
+        return {"successors": heads, "predecessors": tails}
+    if isinstance(host, Graph):
+        return {"neighbors": [h | t for h, t in zip(heads, tails)]}
+    return {"neighbors_x": heads, "neighbors_y": tails}
+
+
+class TestMaskIndex:
+    """The bitmask rows the constructor fills, and every view derived from
+    them, agree with a recount from the value's pairs."""
+
+    @given(_given_pairs(), st.data())
+    def test_views_match_a_recount_from_the_pairs(self, case, data):
+        cls, n, given_pairs = case
+        host, twin = cls(n, given_pairs), cls(n, given_pairs)
+        expected = {tuple(p) if cls is not Graph else tuple(sorted(p)) for p in given_pairs}
+        assert host.pairs == expected
+        rows = _recounted_rows(host)
+        if cls is Digraph:
+            outs = [len(rows["successors"][u]) for u in host.vertices()]
+            ins = [len(rows["predecessors"][u]) for u in host.vertices()]
+            assert host.masks == tuple(map(_bits, rows["successors"]))
+            assert host.in_masks == tuple(map(_bits, rows["predecessors"]))
+            totals = tuple(map(int.__add__, outs, ins))
+            assert degree_table(host) == (host.vertices(), totals, tuple(outs), tuple(ins))
+            for u in host.vertices():
+                assert (host.out_degree(u), host.in_degree(u)) == (outs[u - 1], ins[u - 1])
+                assert host.degree(u) == totals[u - 1]
+        elif cls is Graph:
+            degree_list = tuple(len(rows["neighbors"][u]) for u in host.vertices())
+            assert host.masks == tuple(map(_bits, rows["neighbors"]))
+            assert degree_table(host) == (host.vertices(), degree_list)
+            assert tuple(map(host.degree, host.vertices())) == degree_list
+        else:
+            xs, ys = rows["neighbors_x"], rows["neighbors_y"]
+            assert host.x_masks == tuple(map(_bits, xs))
+            assert host.masks == (0, *(_bits(n + j for j in row) for row in xs[1:]),
+                                  *map(_bits, ys[1:]))
+            degree_list = tuple(len(row) for row in xs[1:] + ys[1:])
+            labels = [f"{side}{i}" for side in "xy" for i in range(1, n + 1)]
+            assert degree_table(host) == (tuple(labels), degree_list)
+            assert tuple(map(host.degree, host.vertices())) == degree_list
+            assert tuple(map(host.degree_x, range(1, n + 1))) == degree_list[:n]
+            assert tuple(map(host.degree_y, range(1, n + 1))) == degree_list[n:]
+        vertices = list(host.vertices())
+        order = data.draw(st.permutations(vertices))
+        seq = order[: data.draw(st.integers(0, len(order)))]
+        for kind in (DIGRAPH_CYCLE, GRAPH_CYCLE):
+            witness = CycleWitness(kind, seq)
+            assert check_cycle(host, witness) == check_cycle_reference(host, witness)
+        # the tuple rows: never built by the constructor, derived on first
+        # read, and invisible to equality, hashing, repr and pickling
+        assert not {"_succ", "_pred", "_adj", "_adj_x", "_adj_y"} & set(vars(twin))
+        for name, recounted in rows.items():
+            read = [getattr(host, name)(u) for u in range(n + 1)]
+            assert read == [tuple(sorted(row)) for row in recounted]
+            assert all(type(row) is tuple for row in read)
+        assert host == twin and hash(host) == hash(twin) and repr(host) == repr(twin)
+        copy = pickle.loads(pickle.dumps(host))
+        assert copy == twin and hash(copy) == hash(twin) and repr(copy) == repr(twin)
+        for name in rows:
+            assert [getattr(copy, name)(u) for u in range(n + 1)] == [
+                getattr(twin, name)(u) for u in range(n + 1)
+            ]

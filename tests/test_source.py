@@ -409,6 +409,63 @@ def test_the_check_sees_value_type_tests():
     assert value_type_tests(TYPE_TESTS) == ["<module>", "serialize", "serialize", "inner"]
 
 
+# a value type's private rows: the tuple rows derived on first read and the
+# bitmask rows its constructor fills
+PRIVATE_ROWS = {
+    "_succ", "_pred", "_adj", "_adj_x", "_adj_y",
+    "_out_masks", "_in_masks", "_adj_masks", "_x_masks", "_y_masks",
+}
+
+
+def private_row_reads(text):
+    """Where Python source ``text`` reads an attribute named in
+    ``PRIVATE_ROWS``: the innermost enclosing function, else ``<module>``,
+    one entry per read."""
+    tree = ast.parse(text)
+    functions = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_ROWS:
+            enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            found.append(max(enclosing, key=lambda f: f.lineno).name if enclosing else "<module>")
+    return found
+
+
+def test_only_core_reads_private_rows():
+    # the mask layout is core's decision: other modules read the public
+    # masks, degree accessors and row methods
+    reads = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "core.py"
+        for name in private_row_reads(path.read_text(encoding="utf-8"))
+    }
+    assert reads == set()
+
+
+ROW_READS = '''\
+rows = GRAPH._adj
+
+
+def reach(d):
+    return walk(d._succ, d.n) and walk(d._pred, d.n)
+
+
+def cycles(d, g):
+    def inner():
+        return g._x_masks[1], g.x_masks, d.masks
+
+    return d._out_masks, inner(), getattr(d, "_in_masks"), d.successors(1)
+'''
+
+
+def test_the_check_sees_private_row_reads():
+    assert sorted(private_row_reads(ROW_READS)) == ["<module>", "cycles", "inner", "reach", "reach"]
+
+
 def raised_names(text):
     """Names of the exceptions that Python source ``text`` raises by name
     (``raise E``, ``raise E(...)``, ``raise mod.E(...)``), one per raise
