@@ -70,13 +70,10 @@ class ConditionReport:
         self._items, self._violators = items, None
 
     @classmethod
-    def _decide(cls, condition_id, violators, parameters, note="", holds=None):
+    def _decide(cls, condition_id, holds, violators, parameters, note=""):
         """The report on the violators ``violators()``, a fresh iterator over
         them in order, whose hypothesis ``holds`` exactly when that iterator
-        would yield nothing.  Left as None, ``holds`` is decided by pulling
-        the first violator."""
-        if holds is None:
-            holds = next(violators(), None) is None
+        would yield nothing."""
         report = cls.__new__(cls)
         report._condition_id, report._holds, report._note = condition_id, holds, note
         report._parameters = parameters
@@ -135,11 +132,11 @@ def _condition(condition_id, minimum, note="", strong=False):
     The one size gate: an instance with ``n`` below ``minimum`` (vertices,
     or part size for a bipartite graph) gets the "n too small" report.  Any
     other gets the report from ``body(instance, *extra)``, which returns the
-    decision (None to decide from the first violator), the violator
-    sequence and the parameters, with ``note``.  When ``strong``,
-    ``NOT_STRONG`` leads the violators of a digraph that is not strongly
-    connected, whose hypothesis then fails.  The predicate keeps the body's
-    name, signature and docstring, and takes its arguments by position.
+    decision, the violator sequence and the parameters, with ``note``.
+    When ``strong``, ``NOT_STRONG`` leads the violators of a digraph that is
+    not strongly connected, whose hypothesis then fails.  The predicate
+    keeps the body's name, signature and docstring, and takes its arguments
+    by position.
     """
 
     def declare(body):
@@ -159,7 +156,7 @@ def _condition(condition_id, minimum, note="", strong=False):
             holds, violators, parameters = body(*args)
             if strong and not strongly_connected(args[0]):
                 holds, violators = False, partial(_not_strong_then, violators)
-            return ConditionReport._decide(condition_id, violators, parameters, note, holds)
+            return ConditionReport._decide(condition_id, holds, violators, parameters, note)
 
         return predicate
 
@@ -273,37 +270,43 @@ def las_vergnas(g: BipartiteGraph) -> ConditionReport:
 
     Vacuously true for complete bipartite graphs (part size >= 2 required).
     """
-    return None, _cross_pair_deficits(g, g.n + 2), {"n": g.n}
+    return (*_cross_pair_deficits(g, g.n + 2), {"n": g.n})
 
 
 @_condition("woodall", 3, strong=True)
 def woodall(d: Digraph) -> ConditionReport:
     """Strongly connected and d+(u) + d-(v) >= n for every ordered non-arc
     pair u != v.  Vacuously true for the complete digraph."""
-    return None, _pair_deficits(d, d.n), {"n": d.n}
+    return (*_pair_deficits(d, d.n), {"n": d.n})
 
 
 @_condition("cor2-woodall-plus2", 3, "disjoint = arc-disjoint")
 def woodall_plus2(d: Digraph) -> ConditionReport:
     """Like ``woodall`` with threshold n + 2, but with no connectivity clause
     (the strengthened statement has none)."""
-    return None, _pair_deficits(d, d.n + 2), {"n": d.n}
+    return (*_pair_deficits(d, d.n + 2), {"n": d.n})
+
+
+def _first_violator_decides(violators):
+    """The decision of a pair-deficit test, from the first item of its
+    violator sequence ``violators()`` alone, and that sequence."""
+    return next(violators(), None) is None, violators
 
 
 def _pair_deficits(d, threshold):
-    """Violator sequence: ordered non-arc pairs u != v with d+(u) + d-(v)
-    below ``threshold``."""
+    """Decision and violator sequence: ordered non-arc pairs u != v with
+    d+(u) + d-(v) below ``threshold``."""
     vertices, _, outs, ins = degree_table(d)
+    arcs = d.arcs
 
     def violators():
         for u, out in zip(vertices, outs):
-            successors = d.masks[u]
             for v, in_ in zip(vertices, ins):
                 total = out + in_
-                if total < threshold and u != v and not successors >> v & 1:
+                if total < threshold and u != v and (u, v) not in arcs:
                     yield {"pair": [u, v], "degree_sum": total}
 
-    return violators
+    return _first_violator_decides(violators)
 
 
 def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
@@ -318,7 +321,7 @@ def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
 
 
 def _ore(g, threshold):
-    return None, _cross_pair_deficits(g, threshold), {"n": g.n, "threshold": threshold}
+    return (*_cross_pair_deficits(g, threshold), {"n": g.n, "threshold": threshold})
 
 
 _ore_pm = _condition("cor3-ore-pm", 2)(_ore)
@@ -326,20 +329,20 @@ _ore_2pm = _condition("cor3-ore-2pm", 2, "disjoint = edge-disjoint")(_ore)
 
 
 def _cross_pair_deficits(g, threshold):
-    """Violator sequence: non-adjacent cross pairs (x_i, y_j) with
-    d(x_i) + d(y_j) below ``threshold``."""
+    """Decision and violator sequence: non-adjacent cross pairs (x_i, y_j)
+    with d(x_i) + d(y_j) below ``threshold``."""
     n = g.n
     labels, degrees = degree_table(g)
+    edges = g.edges
 
     def violators():
         for i, x_degree in enumerate(degrees[:n], 1):
-            neighbors = g.x_masks[i]
             for j, y_degree in enumerate(degrees[n:], 1):
                 total = x_degree + y_degree
-                if total < threshold and not neighbors >> j & 1:
+                if total < threshold and (i, j) not in edges:
                     yield {"pair": [labels[i - 1], labels[n + j - 1]], "degree_sum": total}
 
-    return violators
+    return _first_violator_decides(violators)
 
 
 def build_registry() -> dict:

@@ -6,23 +6,26 @@ All types are immutable after construction and validate their invariants in
 ``__post_init__``; instances are safe to share between threads.  Vertices are
 1-based integers; bipartite vertices are ``("x", i)`` / ``("y", j)`` tags.
 
-Each graph type indexes its pairs as bitmask rows, filled by the validating
-pass of its constructor: bit v of row u for each pair (u, v) out of u, so
-a degree is one ``int.bit_count`` and an adjacency test one shift.  Each
-also states its id space (see ``KINDS``): ids 1..n, or 1..2n for a
-bipartite graph, whose x_i is id i and y_j id n + j, with an adjacency
-bitmask per id.  The cycle search and the certificate check walk those ids
-alone, so neither tells the kinds apart.  The ascending tuple rows behind
-``successors``, ``predecessors`` and ``neighbors*`` are derived from the
-masks on first read and then kept on the instance; a constructor never
-builds them.
+Each graph type indexes its pairs by rows, one per vertex, in one of two
+forms chosen by n.  Up to ``MASK_N`` the validating pass of its constructor
+fills bitmask rows, bit v of row u for each pair (u, v) out of u, so a
+degree is one ``int.bit_count`` and an adjacency test one shift; the
+ascending tuple rows behind ``successors``, ``predecessors`` and
+``neighbors*`` are derived from the masks on first read and then kept on
+the instance.  Above it a bitmask row would be as wide as n, so the
+constructor fills the tuple rows, and masks are derived only where a caller
+reads them (the cycle search).  Each type also states its id space (see
+``KINDS``): ids 1..n, or 1..2n for a bipartite graph, whose x_i is id i and
+y_j id n + j, with an adjacency mask and row per id.  The cycle search and
+the certificate check walk those ids alone, so neither tells the kinds
+apart.
 
 ``Digraph``, ``Graph`` and ``BipartiteGraph`` carry a private ``_memo`` dict
 that the solvers, the Z-mapping and the condition predicates fill with facts
 derived deterministically from the value (strong connectivity, a cycle
 search per node budget, the bipartite image, the ``degree_table``).  It
-never takes part in equality, hashing or ``repr``, nor do the derived tuple
-rows and a bipartite graph's id masks, and all live exactly as long as the
+never takes part in equality, hashing or ``repr``, nor do the derived rows
+and a bipartite graph's id masks and rows, and all live exactly as long as the
 instance, so the value stays immutable.  All are safe to share between
 threads: a race at worst computes an equal result twice.
 """
@@ -63,25 +66,39 @@ def _check_endpoint(v, n, where=""):
         raise VertexRangeError(f"vertex {v} out of range 1..{n}{where}")
 
 
-def _index_pairs(obj, name, masks, bipartite=False):
+# the largest n (vertex count, or part size) whose value is indexed by
+# bitmask rows: each row is an int n + 1 bits wide, so a sparse value's masks
+# grow quadratically in n; above it the constructor fills ascending tuple
+# rows instead, linear in n + m
+MASK_N = 256
+
+
+def _index_pairs(obj, name, tables, bipartite=False):
     """Validate and index the pairs field ``name`` of the value ``obj``.
 
     The one validator of the three graph types: ``n`` must be a positive
     int, each pair two int endpoints in 1..n and, unless ``bipartite``, no
     pair a self-loop.  A bipartite value's n is a part size and its messages
-    name the part of an endpoint; its (i, i) joins x_i to y_i.  In the same
-    pass each pair (u, v) sets bit v of row u in the first bitmask table and
-    bit u of row v in the second, stored under the field names ``masks``;
-    with one name (``Graph``) both bits go to one table and the pair is
-    normalised to (min, max).  A repeated pair sets the same bits again.
-    The field is then set to the frozenset of the pairs as tuples.
+    name the part of an endpoint; its (i, i) joins x_i to y_i.  The field is
+    set to the frozenset of the pairs as tuples, each normalised to
+    (min, max) when ``tables`` names one table (``Graph``); a frozenset
+    given in that form is kept as it is.
+
+    ``tables`` names each index table as a (masks, rows) pair of attributes:
+    a table with a row per first endpoint and one with a row per second, or
+    one table filled from both ends.  Up to ``MASK_N`` the validating pass
+    sets bit v of row u of the first table and bit u of row v of the second
+    for each pair (u, v), a repeated pair setting the same bits again; above
+    it the pairs fill ascending tuple rows.  The form not filled is derived
+    on its first read (``_forms``).
     """
     n = obj.n
     size = "part size" if bipartite else "vertex count"
     parts = (" (x part)", " (y part)") if bipartite else ("", "")
     if not is_int(n) or n < 1:
         raise GraphError(f"{size} must be a positive integer, got {n!r}")
-    undirected = len(masks) == 1
+    undirected = len(tables) == 1
+    masked = n <= MASK_N
     first = [0] * (n + 1)
     second = first if undirected else [0] * (n + 1)
     pairs = getattr(obj, name)
@@ -100,8 +117,9 @@ def _index_pairs(obj, name, masks, bipartite=False):
             _check_endpoint(v, n, parts[1])
         if not bipartite and u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        first[u] |= 1 << v
-        second[v] |= 1 << u
+        if masked:
+            first[u] |= 1 << v
+            second[v] |= 1 << u
         if gather:
             cleaned.add((v, u) if undirected and v < u else (u, v))
         elif type(item) is not tuple or undirected and v < u:
@@ -109,23 +127,59 @@ def _index_pairs(obj, name, masks, bipartite=False):
     if not exact:
         pairs = cleaned if gather else {(v, u) if undirected and v < u else (u, v) for u, v in pairs}
     object.__setattr__(obj, name, frozenset(pairs))
-    for field_name, table in zip(masks, (first, second)):
-        object.__setattr__(obj, field_name, tuple(table))
+    if not masked:
+        first = [[] for _ in range(n + 1)]
+        # a Graph's one row per vertex gets its smaller neighbours, then its
+        # larger ones, both ascending in sorted pair order
+        second = first if undirected else [[] for _ in range(n + 1)]
+        for u, v in sorted(getattr(obj, name)):
+            first[u].append(v)
+            second[v].append(u)
+        first, second = map(tuple, first), map(tuple, second)
+    for (masks, rows), table in zip(tables, (first, second)):
+        object.__setattr__(obj, masks if masked else rows, tuple(table))
 
 
-# the tuple rows behind successors, predecessors and neighbors* are each a
-# cached_property of the types below: a non-data descriptor that maps a mask
-# field through _set_bits once per instance and stores the rows in the
-# instance __dict__, so every later read is a plain attribute lookup; not a
-# dataclass field, so equality, hashing and repr ignore it
-def _set_bits(mask):
-    """The positions of the set bits of ``mask``, ascending."""
-    bits = []
+def mask_select(universe, mask):
+    """The items of ``universe`` at the set bits of ``mask``, lowest bit
+    first: the one bit walk of the mask decoders and the derived rows."""
+    out = []
     while mask:
         low = mask & -mask
-        bits.append(low.bit_length() - 1)
+        out.append(universe[low.bit_length() - 1])
         mask ^= low
-    return tuple(bits)
+    return out
+
+
+def _bit_row(mask):
+    """The ascending tuple row of the ids set in ``mask``."""
+    return tuple(mask_select(range(mask.bit_length()), mask))
+
+
+def _row_mask(row):
+    """The bitmask of the ids in ``row``."""
+    return sum(1 << w for w in row)
+
+
+def _forms(masks, rows):
+    """The two forms of one index table, bitmask rows ``masks`` and tuple
+    rows ``rows``, each as a cached_property that converts the other row by
+    row.  The constructor fills one form; the other is derived on its first
+    read and stored in the instance __dict__, where every later read is a
+    plain attribute lookup.  Neither is a dataclass field, so equality,
+    hashing and repr ignore both."""
+    return (
+        cached_property(lambda self: tuple(map(_row_mask, getattr(self, rows)))),
+        cached_property(lambda self: tuple(map(_bit_row, getattr(self, masks)))),
+    )
+
+
+def _row_sizes(obj, masks, rows):
+    """The sizes of rows 1..n of one index table of ``obj`` (its degrees),
+    read from the form its constructor filled: popcounts of the bitmask
+    rows, or lengths of the tuple rows."""
+    size, table = (int.bit_count, masks) if obj.n <= MASK_N else (len, rows)
+    return tuple(map(size, getattr(obj, table)[1:]))
 
 
 def _own_id(host, v):
@@ -164,21 +218,18 @@ class Digraph:
     shortest_cycle = 2  # a digon uses two distinct arcs
     pairs = property(attrgetter("arcs"))
     id_count = property(attrgetter("n"))
-    masks = property(attrgetter("_out_masks"))
-    in_masks = property(attrgetter("_in_masks"))
+    rows = property(attrgetter("_succ"))
     id_of = _own_id
     vertex_of = _own_vertex
-    _succ = cached_property(lambda self: tuple(map(_set_bits, self._out_masks)))
-    _pred = cached_property(lambda self: tuple(map(_set_bits, self._in_masks)))
+    masks, _succ = _forms("masks", "_succ")
+    in_masks, _pred = _forms("in_masks", "_pred")
 
     n: int
     arcs: frozenset = frozenset()
-    _out_masks: tuple = field(init=False, repr=False, compare=False)
-    _in_masks: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _index_pairs(self, "arcs", ("_out_masks", "_in_masks"))
+        _index_pairs(self, "arcs", (("masks", "_succ"), ("in_masks", "_pred")))
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -190,21 +241,21 @@ class Digraph:
         return self._pred[u]
 
     def out_degree(self, u):
-        return self._out_masks[u].bit_count()
+        return degree_table(self)[2][u - 1]
 
     def in_degree(self, u):
-        return self._in_masks[u].bit_count()
+        return degree_table(self)[3][u - 1]
 
     def degree(self, u):
         """Total degree d(u) = d+(u) + d-(u)."""
-        return self._out_masks[u].bit_count() + self._in_masks[u].bit_count()
+        return degree_table(self)[1][u - 1]
 
     def has_arc(self, u, v):
         return (u, v) in self.arcs
 
     def _degrees(self):
-        outs = tuple(map(int.bit_count, self._out_masks[1:]))
-        ins = tuple(map(int.bit_count, self._in_masks[1:]))
+        outs = _row_sizes(self, "masks", "_succ")
+        ins = _row_sizes(self, "in_masks", "_pred")
         return self.vertices(), tuple(map(int.__add__, outs, ins)), outs, ins
 
     def __repr__(self):
@@ -229,18 +280,17 @@ class Graph:
     shortest_cycle = 3
     pairs = property(attrgetter("edges"))
     id_count = property(attrgetter("n"))
-    masks = property(attrgetter("_adj_masks"))
+    rows = property(attrgetter("_adj"))
     id_of = _own_id
     vertex_of = _own_vertex
-    _adj = cached_property(lambda self: tuple(map(_set_bits, self._adj_masks)))
+    masks, _adj = _forms("masks", "_adj")
 
     n: int
     edges: frozenset = frozenset()
-    _adj_masks: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _index_pairs(self, "edges", ("_adj_masks",))
+        _index_pairs(self, "edges", (("masks", "_adj"),))
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -249,13 +299,13 @@ class Graph:
         return self._adj[u]
 
     def degree(self, u):
-        return self._adj_masks[u].bit_count()
+        return degree_table(self)[1][u - 1]
 
     def has_edge(self, u, v):
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def _degrees(self):
-        return self.vertices(), tuple(map(int.bit_count, self._adj_masks[1:]))
+        return self.vertices(), _row_sizes(self, "masks", "_adj")
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -277,18 +327,16 @@ class BipartiteGraph:
     cycle_kind = GRAPH_CYCLE
     shortest_cycle = 3
     pairs = property(attrgetter("edges"))
-    x_masks = property(attrgetter("_x_masks"))
-    _adj_x = cached_property(lambda self: tuple(map(_set_bits, self._x_masks)))
-    _adj_y = cached_property(lambda self: tuple(map(_set_bits, self._y_masks)))
+    _x_masks, _adj_x = _forms("_x_masks", "_adj_x")
+    _y_masks, _adj_y = _forms("_y_masks", "_adj_y")
 
     n: int
     edges: frozenset = frozenset()
-    _x_masks: tuple = field(init=False, repr=False, compare=False)
-    _y_masks: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _index_pairs(self, "edges", ("_x_masks", "_y_masks"), bipartite=True)
+        tables = (("_x_masks", "_adj_x"), ("_y_masks", "_adj_y"))
+        _index_pairs(self, "edges", tables, bipartite=True)
 
     def neighbors_x(self, i):
         """y-indices adjacent to x_i, ascending."""
@@ -299,10 +347,10 @@ class BipartiteGraph:
         return self._adj_y[j]
 
     def degree_x(self, i):
-        return self._x_masks[i].bit_count()
+        return degree_table(self)[1][i - 1]
 
     def degree_y(self, j):
-        return self._y_masks[j].bit_count()
+        return degree_table(self)[1][self.n + j - 1]
 
     @property
     def id_count(self):
@@ -311,11 +359,18 @@ class BipartiteGraph:
     @cached_property
     def masks(self):
         """Adjacency bitmasks over the ids 1..2n, built on first read and
-        kept like the tuple rows, never by the constructor: x_i's mask has
-        bit n + j for each neighbour y_j and y_j's mask bit i for each
-        neighbour x_i, so a mask holds only ids of the other part."""
-        n = self.n
-        return (0, *(m << n for m in self._x_masks[1:]), *self._y_masks[1:])
+        kept like the derived rows: x_i's mask has bit n + j for each
+        neighbour y_j and y_j's mask bit i for each neighbour x_i, so a mask
+        holds only ids of the other part."""
+        return (0, *(m << self.n for m in self._x_masks[1:]), *self._y_masks[1:])
+
+    @cached_property
+    def rows(self):
+        """Ascending adjacency rows over the same ids, built on first read
+        and kept: x_i's row holds n + j for each neighbour y_j, y_j's row
+        the i of each neighbour x_i."""
+        x_rows = (tuple(self.n + j for j in row) for row in self._adj_x[1:])
+        return ((), *x_rows, *self._adj_y[1:])
 
     def id_of(self, vertex):
         """x_i -> i, y_j -> n + j; None for anything that is not a vertex."""
@@ -340,7 +395,7 @@ class BipartiteGraph:
         return (i, j) in self.edges
 
     def _degrees(self):
-        degrees = tuple(map(int.bit_count, self._x_masks[1:] + self._y_masks[1:]))
+        degrees = _row_sizes(self, "_x_masks", "_adj_x") + _row_sizes(self, "_y_masks", "_adj_y")
         return _part_labels(self.n), degrees
 
     def __repr__(self):
@@ -361,9 +416,10 @@ def _part_labels(n):
 # n it is enumerated exhaustively at, and ``universe(n)``, its possible
 # arcs or edges in enumeration-bit order.  Beside them each states its id
 # space: ``id_count``, ``masks`` (bit w of mask v set for each id w adjacent
-# to id v, mask 0 empty), ``id_of`` (witness vertex -> id, None for a non-vertex) and
-# ``vertex_of``; its cycle witnesses' ``cycle_kind`` and ``shortest_cycle``;
-# and ``pairs``, its arc or edge set
+# to id v, mask 0 empty), ``rows`` (the same adjacency as ascending tuples),
+# ``id_of`` (witness vertex -> id, None for a non-vertex) and ``vertex_of``;
+# its cycle witnesses' ``cycle_kind`` and ``shortest_cycle``; and ``pairs``,
+# its arc or edge set
 KINDS = {cls.kind: cls for cls in (Digraph, BipartiteGraph, Graph)}
 _HOSTS = tuple(KINDS.values())
 
@@ -444,19 +500,21 @@ def check_cycle(host, witness) -> bool:
     length.  Never raises: malformed witnesses simply fail.
 
     One body for every host kind: the sequence is mapped to the host's ids
-    and each consecutive pair tested against its id masks.  A bipartite mask
-    holds only ids of the other part, so a path along the masks alternates
-    parts.
+    and each consecutive pair tested against its id masks, or its id rows
+    above ``MASK_N``, so a large sparse host builds no masks.  A bipartite
+    mask or row holds only ids of the other part, so a path along them
+    alternates parts.
     """
     if not (isinstance(host, _HOSTS) and isinstance(witness, CycleWitness)):
         return False
     ids = [host.id_of(v) for v in witness.sequence]
     if witness.kind != host.cycle_kind or len(ids) < host.shortest_cycle or None in ids:
         return False
+    steps = zip(ids, ids[1:] + ids[:1])
+    if host.n > MASK_N:
+        return len(set(ids)) == len(ids) and all(b in host.rows[a] for a, b in steps)
     masks = host.masks
-    return len(set(ids)) == len(ids) and all(
-        masks[a] >> b & 1 for a, b in zip(ids, ids[1:] + ids[:1])
-    )
+    return len(set(ids)) == len(ids) and all(masks[a] >> b & 1 for a, b in steps)
 
 
 @dataclass(frozen=True)

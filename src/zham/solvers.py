@@ -12,7 +12,8 @@ repeated questions about one value are answered once.  One cycle search
 serves every kind: it walks the id space the host's type states (ids
 1..``id_count`` and their adjacency ``masks``) and maps the ids it finds
 back to the host's vertices.  Strong connectivity grows reached-id masks
-along the same bitmask rows, and every prune reads ``degree_table``.
+along the same bitmask rows (a Tarjan walk over the tuple rows of a
+digraph above ``core.MASK_N``), and every prune reads ``degree_table``.
 
 Every search keeps its own stack instead of recursing, so each works for
 any n.  ``extends_to_hamiltonian`` has no search of its own: it asks the
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 from .core import (
     DIGRAPH_CYCLE,
+    MASK_N,
     BipartiteGraph,
     CycleWitness,
     Digraph,
@@ -144,13 +146,16 @@ def strongly_connected(d: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path.
 
     Two sweeps from vertex 1, one forward over the out-masks and one
-    backward over the in-masks, so any n works.  The answer is memoised on
-    ``d``.
+    backward over the in-masks; above ``MASK_N``, where a digraph is
+    indexed by tuple rows, one Tarjan walk over them instead, so any n
+    works in time linear in its index.  The answer is memoised on ``d``.
     """
     strong = d._memo.get("strongly_connected")
     if strong is None:
         strong = d._memo["strongly_connected"] = (
             _reaches_all(d.masks, d.n) and _reaches_all(d.in_masks, d.n)
+            if d.n <= MASK_N
+            else len(strongly_connected_components(d)) == 1
         )
     return strong
 

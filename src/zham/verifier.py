@@ -33,6 +33,7 @@ from .core import (
     degree_table,
     graph_edge_universe,
     is_int,
+    mask_select,
     pairs_json,
     witness_json,
 )
@@ -65,21 +66,12 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 # ``core.KINDS``.
 
 
-def _mask_select(universe, mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(universe[low.bit_length() - 1])
-        mask ^= low
-    return out
-
-
 def _decoder(cls):
     """The one mask decoder body, bound to value type ``cls``."""
 
     def from_mask(n, mask, _universe=None):
         universe = cls.universe(n) if _universe is None else _universe
-        return cls(n, frozenset(_mask_select(universe, mask)))
+        return cls(n, frozenset(mask_select(universe, mask)))
 
     return from_mask
 

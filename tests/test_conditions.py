@@ -530,7 +530,8 @@ class TestLazyReport:
                 pulled.append(item["vertex"])
                 yield item
 
-        report = ConditionReport._decide("dirac", violators, {"n": 3})
+        holds, violators = conditions._first_violator_decides(violators)
+        report = ConditionReport._decide("dirac", holds, violators, {"n": 3})
         assert not report.hypothesis_holds
         assert pulled == [1]
         assert report.violating_items == ({"vertex": 1}, {"vertex": 2}, {"vertex": 3})
@@ -538,7 +539,7 @@ class TestLazyReport:
         assert report.violating_items is report.violating_items
 
     def test_a_holding_report_lists_nothing(self):
-        report = ConditionReport._decide("dirac", lambda: iter(()), {"n": 3})
+        report = ConditionReport._decide("dirac", True, lambda: iter(()), {"n": 3})
         assert report.hypothesis_holds
         assert report.violating_items == ()
         assert report == ConditionReport("dirac", True, (), {"n": 3})

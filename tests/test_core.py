@@ -1,5 +1,10 @@
+import os
 import pickle
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -22,6 +27,7 @@ from zham import (
     degrees,
     format_bipartite_vertex,
 )
+from zham import core, solvers
 from zham.core import arc_universe, bipartite_edge_universe, degree_table, graph_edge_universe
 from zham.verifier import enumerate_bipartite, enumerate_digraphs, enumerate_graphs
 
@@ -33,7 +39,10 @@ from brute import (
     directed_cycle_catalog,
     graphs,
     normalize_directed,
+    strongly_connected_reference,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 C3 = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
 K3 = build_digraph(3, [(u, v) for u in range(1, 4) for v in range(1, 4) if u != v])
@@ -445,14 +454,31 @@ def _recounted_rows(host):
     return {"neighbors_x": heads, "neighbors_y": tails}
 
 
-class TestMaskIndex:
-    """The bitmask rows the constructor fills, and every view derived from
-    them, agree with a recount from the value's pairs."""
+# the index attributes of each form: the bitmask rows a constructor fills up
+# to MASK_N, and the tuple rows it fills above it
+MASK_FIELDS = {"masks", "in_masks", "_x_masks", "_y_masks"}
+ROW_FIELDS = {"_succ", "_pred", "_adj", "_adj_x", "_adj_y"}
 
-    @given(_given_pairs(), st.data())
-    def test_views_match_a_recount_from_the_pairs(self, case, data):
-        cls, n, given_pairs = case
+
+class TestMaskIndex:
+    """The rows a constructor fills, bitmask rows up to ``core.MASK_N`` and
+    tuple rows above it, and every view derived from them, agree with a
+    recount from the value's pairs."""
+
+    @given(_given_pairs(), st.booleans(), st.data())
+    def test_views_match_a_recount_from_the_pairs(self, case, masked, data):
+        # with MASK_N at 0 every value is indexed by tuple rows, as a value
+        # above MASK_N is
+        with patch.object(core, "MASK_N", core.MASK_N if masked else 0), patch.object(
+            solvers, "MASK_N", core.MASK_N if masked else 0
+        ):
+            self._check(*case, masked, data)
+
+    @staticmethod
+    def _check(cls, n, given_pairs, masked, data):
         host, twin = cls(n, given_pairs), cls(n, given_pairs)
+        filled, derived = (MASK_FIELDS, ROW_FIELDS) if masked else (ROW_FIELDS, MASK_FIELDS)
+        assert filled & set(vars(twin)) and not derived & set(vars(twin))
         expected = {tuple(p) if cls is not Graph else tuple(sorted(p)) for p in given_pairs}
         assert host.pairs == expected
         rows = _recounted_rows(host)
@@ -463,6 +489,7 @@ class TestMaskIndex:
             assert host.in_masks == tuple(map(_bits, rows["predecessors"]))
             totals = tuple(map(int.__add__, outs, ins))
             assert degree_table(host) == (host.vertices(), totals, tuple(outs), tuple(ins))
+            assert solvers.strongly_connected(host) == strongly_connected_reference(host)
             for u in host.vertices():
                 assert (host.out_degree(u), host.in_degree(u)) == (outs[u - 1], ins[u - 1])
                 assert host.degree(u) == totals[u - 1]
@@ -473,7 +500,7 @@ class TestMaskIndex:
             assert tuple(map(host.degree, host.vertices())) == degree_list
         else:
             xs, ys = rows["neighbors_x"], rows["neighbors_y"]
-            assert host.x_masks == tuple(map(_bits, xs))
+            assert host._x_masks == tuple(map(_bits, xs))
             assert host.masks == (0, *(_bits(n + j for j in row) for row in xs[1:]),
                                   *map(_bits, ys[1:]))
             degree_list = tuple(len(row) for row in xs[1:] + ys[1:])
@@ -482,15 +509,15 @@ class TestMaskIndex:
             assert tuple(map(host.degree, host.vertices())) == degree_list
             assert tuple(map(host.degree_x, range(1, n + 1))) == degree_list[:n]
             assert tuple(map(host.degree_y, range(1, n + 1))) == degree_list[n:]
+        assert tuple(map(_bits, host.rows)) == host.masks
         vertices = list(host.vertices())
         order = data.draw(st.permutations(vertices))
         seq = order[: data.draw(st.integers(0, len(order)))]
         for kind in (DIGRAPH_CYCLE, GRAPH_CYCLE):
             witness = CycleWitness(kind, seq)
             assert check_cycle(host, witness) == check_cycle_reference(host, witness)
-        # the tuple rows: never built by the constructor, derived on first
-        # read, and invisible to equality, hashing, repr and pickling
-        assert not {"_succ", "_pred", "_adj", "_adj_x", "_adj_y"} & set(vars(twin))
+        # the rows, filled or derived on first read, are invisible to
+        # equality, hashing, repr and pickling
         for name, recounted in rows.items():
             read = [getattr(host, name)(u) for u in range(n + 1)]
             assert read == [tuple(sorted(row)) for row in recounted]
@@ -502,3 +529,66 @@ class TestMaskIndex:
             assert [getattr(copy, name)(u) for u in range(n + 1)] == [
                 getattr(twin, name)(u) for u in range(n + 1)
             ]
+
+
+# a sparse path and cycle on 10^5 vertices, far above core.MASK_N, taken
+# through parsing, the degree and connectivity checks, the prunes, the
+# certificate check, two predicates, the Z-mapping, matching and
+# serialization; the last line printed is the peak RSS in MB and the seconds
+LARGE_SPARSE = """\
+import resource, sys, time
+from zham import CycleWitness, DIGRAPH_CYCLE, GRAPH_CYCLE, Digraph, Graph, check_cycle, solvers
+from zham.conditions import ghouila_houri, las_vergnas, woodall
+from zham.fileio import parse_graph_text, serialize_graph
+from zham.zmapping import zmap
+
+limit = int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+start = time.perf_counter()
+n = 100_000
+arcs = [(i, i + 1) for i in range(1, n)]
+text = f"D {n}\\n" + "".join(f"{u} {v}\\n" for u, v in arcs)
+path = parse_graph_text(text)
+cycle = Digraph(n, arcs + [(n, 1)])
+assert serialize_graph(path) == text
+assert (path.out_degree(n), path.in_degree(1), cycle.degree(1)) == (0, 0, 2)
+assert not solvers.strongly_connected(path) and solvers.strongly_connected(cycle)
+assert len(solvers.strongly_connected_components(path)) == n
+assert not solvers.find_hamiltonian_cycle(path).found
+assert check_cycle(cycle, CycleWitness(DIGRAPH_CYCLE, range(1, n + 1)))
+assert not check_cycle(cycle, CycleWitness(DIGRAPH_CYCLE, range(n, 0, -1)))
+assert not ghouila_houri(cycle).hypothesis_holds and not woodall(cycle).hypothesis_holds
+ring = Graph(n, arcs + [(n, 1)])
+assert check_cycle(ring, CycleWitness(GRAPH_CYCLE, range(n, 0, -1)))
+assert not solvers.find_hamiltonian_cycle_undirected(Graph(n, arcs)).found
+image = zmap(cycle)
+assert image.degree_x(n) == image.degree_y(1) == 1
+assert len(solvers.max_matching(image)) == n
+assert not las_vergnas(image).hypothesis_holds
+assert serialize_graph(image).count("\\n") == n + 1
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(round(peak), round(time.perf_counter() - start, 2))
+"""
+
+
+class TestLargeSparseValues:
+    """A value far above ``core.MASK_N`` is indexed by tuple rows, so a
+    sparse path or cycle on 10^5 vertices is handled in time and memory
+    linear in n + m.  Bitmask rows as wide as n would take about n^2 / 16
+    bytes per table, over 600 MB here; the child process is capped at
+    ``LIMIT_MB`` of address space, so such a fault fails fast."""
+
+    LIMIT_MB = 1024
+    PEAK_MB = 320
+    SECONDS = 60
+
+    def test_a_long_path_and_cycle_stay_linear(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", LARGE_SPARSE, str(self.LIMIT_MB)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        peak_mb, seconds = map(float, done.stdout.split())
+        assert peak_mb < self.PEAK_MB and seconds < self.SECONDS

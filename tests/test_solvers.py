@@ -439,10 +439,10 @@ class TestCycleKernelMatchesReference:
     @staticmethod
     def _check(host, limit):
         # the id space the solvers search ``host`` on
-        size, masks = host.id_count, host.masks
+        size, rows = host.id_count, host.rows
         for first_only in (True, False):
-            got = _run_kernel(solvers._search_cycle, size, masks, limit, first_only)
-            want = _run_kernel(_reference_on_masks, size, masks, limit, first_only)
+            got = _run_kernel(solvers._search_cycle, size, host.masks, limit, first_only)
+            want = _run_kernel(search_cycle_reference, size, rows.__getitem__, limit, first_only)
             assert got == want
 
     @given(digraphs(max_n=7), BUDGETS)

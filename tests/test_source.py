@@ -409,12 +409,9 @@ def test_the_check_sees_value_type_tests():
     assert value_type_tests(TYPE_TESTS) == ["<module>", "serialize", "serialize", "inner"]
 
 
-# a value type's private rows: the tuple rows derived on first read and the
-# bitmask rows its constructor fills
-PRIVATE_ROWS = {
-    "_succ", "_pred", "_adj", "_adj_x", "_adj_y",
-    "_out_masks", "_in_masks", "_adj_masks", "_x_masks", "_y_masks",
-}
+# a value type's private rows: its tuple rows and a bipartite graph's part
+# masks, whichever of the two forms its constructor fills
+PRIVATE_ROWS = {"_succ", "_pred", "_adj", "_adj_x", "_adj_y", "_x_masks", "_y_masks"}
 
 
 def private_row_reads(text):
@@ -456,9 +453,9 @@ def reach(d):
 
 def cycles(d, g):
     def inner():
-        return g._x_masks[1], g.x_masks, d.masks
+        return g._x_masks[1], g.masks, d.in_masks
 
-    return d._out_masks, inner(), getattr(d, "_in_masks"), d.successors(1)
+    return g._y_masks, inner(), getattr(d, "_pred"), d.successors(1)
 '''
 
 
