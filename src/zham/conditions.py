@@ -22,8 +22,8 @@ sequence only when ``violating_items`` is first read.  A single-bound
 hypothesis is decided by one comparison: the minimum degree against the
 bound, or the low-degree count against its allowance.  A pair-deficit
 hypothesis is decided from its sequence's first item alone.  Degrees come
-from ``core.degree_table``, one table per instance, memoised on it like
-strong connectivity.
+from each instance's ``degree_table``, filled by its constructor beside its
+adjacency index.
 
 ``build_registry`` is the one place that binds a condition id to its
 instance kind and predicate; the CLI's condition tables and the verifier's
@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import partial, wraps
 from operator import attrgetter
 
-from .core import BipartiteGraph, Digraph, Graph, GraphError, degree_table, is_int
+from .core import BipartiteGraph, Digraph, Graph, GraphError, is_int
 from .solvers import strongly_connected
 
 NOT_STRONG = {"reason": "not strongly connected"}
@@ -201,21 +201,21 @@ def _low_count(labels, degrees, scale, bound, allowance, parameters):
 @_condition("dirac", 3)
 def dirac(g: Graph) -> ConditionReport:
     """Every vertex satisfies 2*d(u) >= n (graphs with n > 2)."""
-    labels, degrees = degree_table(g)
+    labels, degrees = g.degree_table
     return _min_degree(labels, degrees, 2, g.n, {"n": g.n})
 
 
 @_condition("ghouila-houri", 3, strong=True)
 def ghouila_houri(d: Digraph) -> ConditionReport:
     """Strongly connected and every vertex satisfies d(u) >= n (n > 2)."""
-    labels, degrees, _, _ = degree_table(d)
+    labels, degrees, _, _ = d.degree_table
     return _min_degree(labels, degrees, 1, d.n, {"n": d.n})
 
 
 @_condition("faudree", 3)
 def faudree(g: Graph) -> ConditionReport:
     """At most k-1 vertices of degree strictly below n/2, k the minimum degree."""
-    labels, degrees = degree_table(g)
+    labels, degrees = g.degree_table
     k = min(degrees)
     return _low_count(labels, degrees, 2, g.n, k - 1, {"n": g.n, "k": k})
 
@@ -224,7 +224,7 @@ def faudree(g: Graph) -> ConditionReport:
 def zhu_digraph(d: Digraph) -> ConditionReport:
     """Digraph analogue of the low-degree-count test: strongly connected and
     at most k-1 vertices of total degree below n, k the minimum total degree."""
-    labels, degrees, _, _ = degree_table(d)
+    labels, degrees, _, _ = d.degree_table
     k = min(degrees)
     return _low_count(labels, degrees, 1, d.n, k - 1, {"n": d.n, "k": k})
 
@@ -239,14 +239,14 @@ def moon_moser_k(g: BipartiteGraph, k: int) -> ConditionReport:
 # reached only when 1 < k < n, so never below the minimum
 @_condition("moon-moser-k", 3, "low-degree set drawn from both parts")
 def _moon_moser_k(g, k):
-    labels, degrees = degree_table(g)
+    labels, degrees = g.degree_table
     return _low_count(labels, degrees, 1, k, g.n - 1, {"n": g.n, "k": k})
 
 
 @_condition("moon-moser-half", 2)
 def moon_moser_half(g: BipartiteGraph) -> ConditionReport:
     """Every vertex of both parts satisfies 2*d(u) > n (part size >= 2)."""
-    labels, degrees = degree_table(g)
+    labels, degrees = g.degree_table
     return _min_degree(labels, degrees, 2, g.n + 1, {"n": g.n})
 
 
@@ -254,7 +254,7 @@ def moon_moser_half(g: BipartiteGraph) -> ConditionReport:
 def disjoint_hc_degree(d: Digraph) -> ConditionReport:
     """Strongly connected and 2*d+(u) > n and 2*d-(u) > n for every vertex."""
     n = d.n
-    labels, _, outs, ins = degree_table(d)
+    labels, _, outs, ins = d.degree_table
 
     def low_vertices():
         for v, out, in_ in zip(labels, outs, ins):
@@ -296,7 +296,7 @@ def _first_violator_decides(violators):
 def _pair_deficits(d, threshold):
     """Decision and violator sequence: ordered non-arc pairs u != v with
     d+(u) + d-(v) below ``threshold``."""
-    vertices, _, outs, ins = degree_table(d)
+    vertices, _, outs, ins = d.degree_table
     arcs = d.arcs
 
     def violators():
@@ -332,7 +332,7 @@ def _cross_pair_deficits(g, threshold):
     """Decision and violator sequence: non-adjacent cross pairs (x_i, y_j)
     with d(x_i) + d(y_j) below ``threshold``."""
     n = g.n
-    labels, degrees = degree_table(g)
+    labels, degrees = g.degree_table
     edges = g.edges
 
     def violators():

@@ -14,25 +14,31 @@ ascending tuple rows behind ``successors``, ``predecessors`` and
 ``neighbors*`` are derived from the masks on first read and then kept on
 the instance.  Above it a bitmask row would be as wide as n, so the
 constructor fills the tuple rows, and masks are derived only where a caller
-reads them (the cycle search).  Each type also states its id space (see
-``KINDS``): ids 1..n, or 1..2n for a bipartite graph, whose x_i is id i and
-y_j id n + j, with an adjacency mask and row per id.  The cycle search and
-the certificate check walk those ids alone, so neither tells the kinds
-apart.
+reads them (the cycle search).  The same pass sizes each row, and from those
+sizes the constructor sets ``degree_table``: the vertex labels and degrees
+in ``vertices()`` order ("x1".."xn", "y1".."yn" for a bipartite graph),
+plus a digraph's out- and in-degrees in the same order.  The condition
+predicates, the solvers' prunes, ``degrees`` and the verifier's
+counterexample details all read this one table.  Each type also states its
+id space (see ``KINDS``): ids 1..n, or 1..2n for a bipartite graph, whose
+x_i is id i and y_j id n + j, with an adjacency mask and row per id.  The
+cycle search and the certificate check walk those ids alone, so neither
+tells the kinds apart.
 
-``Digraph``, ``Graph`` and ``BipartiteGraph`` carry a private ``_memo`` dict
-that the solvers, the Z-mapping and the condition predicates fill with facts
-derived deterministically from the value (strong connectivity, a cycle
-search per node budget, the bipartite image, the ``degree_table``).  It
-never takes part in equality, hashing or ``repr``, nor do the derived rows
-and a bipartite graph's id masks and rows, and all live exactly as long as the
-instance, so the value stays immutable.  All are safe to share between
+``Digraph``, ``Graph`` and ``BipartiteGraph`` carry a private ``_memo`` dict,
+set by the constructor beside the index, that the solvers and the Z-mapping
+fill with facts derived deterministically from the value (strong
+connectivity, a cycle search per node budget, the bipartite image).  Like
+the index, the degree table and the derived rows, it is a plain instance
+attribute and not a dataclass field, so it never takes part in equality,
+hashing, ``repr`` or ``dataclasses.asdict``; all live exactly as long as
+the instance, so the value stays immutable.  All are safe to share between
 threads: a race at worst computes an equal result twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
 
@@ -90,7 +96,10 @@ def _index_pairs(obj, name, tables, bipartite=False):
     sets bit v of row u of the first table and bit u of row v of the second
     for each pair (u, v), a repeated pair setting the same bits again; above
     it the pairs fill ascending tuple rows.  The form not filled is derived
-    on its first read (``_forms``).
+    on its first read (``_forms``).  Also sets the value's empty ``_memo``.
+
+    Returns the sizes of rows 1..n of each table, popcounts of its masks or
+    lengths of its tuple rows: the degrees the constructor tabulates.
     """
     n = obj.n
     size = "part size" if bipartite else "vertex count"
@@ -136,8 +145,13 @@ def _index_pairs(obj, name, tables, bipartite=False):
             first[u].append(v)
             second[v].append(u)
         first, second = map(tuple, first), map(tuple, second)
+    sizes = []
     for (masks, rows), table in zip(tables, (first, second)):
-        object.__setattr__(obj, masks if masked else rows, tuple(table))
+        table = tuple(table)
+        object.__setattr__(obj, masks if masked else rows, table)
+        sizes.append(tuple(map(int.bit_count if masked else len, table[1:])))
+    object.__setattr__(obj, "_memo", {})
+    return sizes
 
 
 def mask_select(universe, mask):
@@ -172,14 +186,6 @@ def _forms(masks, rows):
         cached_property(lambda self: tuple(map(_row_mask, getattr(self, rows)))),
         cached_property(lambda self: tuple(map(_bit_row, getattr(self, masks)))),
     )
-
-
-def _row_sizes(obj, masks, rows):
-    """The sizes of rows 1..n of one index table of ``obj`` (its degrees),
-    read from the form its constructor filled: popcounts of the bitmask
-    rows, or lengths of the tuple rows."""
-    size, table = (int.bit_count, masks) if obj.n <= MASK_N else (len, rows)
-    return tuple(map(size, getattr(obj, table)[1:]))
 
 
 def _own_id(host, v):
@@ -226,10 +232,11 @@ class Digraph:
 
     n: int
     arcs: frozenset = frozenset()
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _index_pairs(self, "arcs", (("masks", "_succ"), ("in_masks", "_pred")))
+        outs, ins = _index_pairs(self, "arcs", (("masks", "_succ"), ("in_masks", "_pred")))
+        totals = tuple(map(int.__add__, outs, ins))
+        object.__setattr__(self, "degree_table", (self.vertices(), totals, outs, ins))
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -241,22 +248,17 @@ class Digraph:
         return self._pred[u]
 
     def out_degree(self, u):
-        return degree_table(self)[2][u - 1]
+        return self.degree_table[2][u - 1]
 
     def in_degree(self, u):
-        return degree_table(self)[3][u - 1]
+        return self.degree_table[3][u - 1]
 
     def degree(self, u):
         """Total degree d(u) = d+(u) + d-(u)."""
-        return degree_table(self)[1][u - 1]
+        return self.degree_table[1][u - 1]
 
     def has_arc(self, u, v):
         return (u, v) in self.arcs
-
-    def _degrees(self):
-        outs = _row_sizes(self, "masks", "_succ")
-        ins = _row_sizes(self, "in_masks", "_pred")
-        return self.vertices(), tuple(map(int.__add__, outs, ins)), outs, ins
 
     def __repr__(self):
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
@@ -287,10 +289,10 @@ class Graph:
 
     n: int
     edges: frozenset = frozenset()
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _index_pairs(self, "edges", (("masks", "_adj"),))
+        (degrees,) = _index_pairs(self, "edges", (("masks", "_adj"),))
+        object.__setattr__(self, "degree_table", (self.vertices(), degrees))
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -299,13 +301,10 @@ class Graph:
         return self._adj[u]
 
     def degree(self, u):
-        return degree_table(self)[1][u - 1]
+        return self.degree_table[1][u - 1]
 
     def has_edge(self, u, v):
         return ((u, v) if u < v else (v, u)) in self.edges
-
-    def _degrees(self):
-        return self.vertices(), _row_sizes(self, "masks", "_adj")
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -332,11 +331,11 @@ class BipartiteGraph:
 
     n: int
     edges: frozenset = frozenset()
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tables = (("_x_masks", "_adj_x"), ("_y_masks", "_adj_y"))
-        _index_pairs(self, "edges", tables, bipartite=True)
+        x_degrees, y_degrees = _index_pairs(self, "edges", tables, bipartite=True)
+        object.__setattr__(self, "degree_table", (_part_labels(self.n), x_degrees + y_degrees))
 
     def neighbors_x(self, i):
         """y-indices adjacent to x_i, ascending."""
@@ -347,10 +346,10 @@ class BipartiteGraph:
         return self._adj_y[j]
 
     def degree_x(self, i):
-        return degree_table(self)[1][i - 1]
+        return self.degree_table[1][i - 1]
 
     def degree_y(self, j):
-        return degree_table(self)[1][self.n + j - 1]
+        return self.degree_table[1][self.n + j - 1]
 
     @property
     def id_count(self):
@@ -394,10 +393,6 @@ class BipartiteGraph:
     def has_edge(self, i, j):
         return (i, j) in self.edges
 
-    def _degrees(self):
-        degrees = _row_sizes(self, "_x_masks", "_adj_x") + _row_sizes(self, "_y_masks", "_adj_y")
-        return _part_labels(self.n), degrees
-
     def __repr__(self):
         return f"BipartiteGraph(n={self.n}, edges={sorted(self.edges)})"
 
@@ -424,23 +419,10 @@ KINDS = {cls.kind: cls for cls in (Digraph, BipartiteGraph, Graph)}
 _HOSTS = tuple(KINDS.values())
 
 
-def degree_table(instance):
-    """The degree table of ``instance``, memoised on it under "degrees": the
-    vertex labels and degrees in ``vertices()`` order ("x1".."xn", "y1".."yn"
-    for a bipartite graph), plus a digraph's out- and in-degrees in the same
-    order, as its type's ``_degrees`` states them.  The condition predicates,
-    ``degrees`` and the verifier's counterexample details all read this one
-    table."""
-    table = instance._memo.get("degrees")
-    if table is None:
-        table = instance._memo["degrees"] = instance._degrees()
-    return table
-
-
 def degrees(d: Digraph):
     """Per-vertex (out, in, total) degree triples of a digraph, keyed by
-    vertex; read from ``degree_table``."""
-    vertices, totals, outs, ins = degree_table(d)
+    vertex; read from its ``degree_table``."""
+    vertices, totals, outs, ins = d.degree_table
     return dict(zip(vertices, zip(outs, ins, totals)))
 
 

@@ -13,7 +13,8 @@ serves every kind: it walks the id space the host's type states (ids
 1..``id_count`` and their adjacency ``masks``) and maps the ids it finds
 back to the host's vertices.  Strong connectivity grows reached-id masks
 along the same bitmask rows (a Tarjan walk over the tuple rows of a
-digraph above ``core.MASK_N``), and every prune reads ``degree_table``.
+digraph above ``core.MASK_N``), and every prune reads the host's
+``degree_table``.
 
 Every search keeps its own stack instead of recursing, so each works for
 any n.  ``extends_to_hamiltonian`` has no search of its own: it asks the
@@ -40,7 +41,6 @@ from .core import (
     GraphError,
     Matching,
     check_cycle,
-    degree_table,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -235,18 +235,18 @@ def _digraph_viable(d: Digraph, k=1) -> bool:
     Necessary for a Hamiltonian cycle (k = 1) and for two arc-disjoint ones
     (k = 2).  Strong connectivity, the costly test, runs last.
     """
-    # degree_table(d)[2:] holds the out-degrees and the in-degrees
-    return d.n > 1 and min(map(min, degree_table(d)[2:])) >= k and strongly_connected(d)
+    # d.degree_table[2:] holds the out-degrees and the in-degrees
+    return d.n > 1 and min(map(min, d.degree_table[2:])) >= k and strongly_connected(d)
 
 
 def _bipartite_viable(g: BipartiteGraph) -> bool:
     """Part size >= 2 and every vertex of degree >= 2: necessary for a
     Hamiltonian cycle and for two edge-disjoint perfect matchings."""
-    return g.n >= 2 and min(degree_table(g)[1]) >= 2
+    return g.n >= 2 and min(g.degree_table[1]) >= 2
 
 
 def _graph_viable(g: Graph) -> bool:
-    return g.n >= 3 and min(degree_table(g)[1]) >= 2
+    return g.n >= 3 and min(g.degree_table[1]) >= 2
 
 
 def _find_cycle(host, viable, budget) -> SolveResult:
@@ -383,7 +383,7 @@ def _iter_perfect_matchings(g: BipartiteGraph, budget):
     Spends one budget node per tentative pair assignment.
     """
     n = g.n
-    if 0 in degree_table(g)[1]:
+    if 0 in g.degree_table[1]:
         return
     used = 0  # bit j set while y_j is taken
     chosen = []

@@ -27,17 +27,17 @@ from ._version import __version__
 from .conditions import build_registry
 from .core import (
     KINDS,
+    MASK_N,
     GraphError,
     arc_universe,  # the three universes are re-exported
     bipartite_edge_universe,
-    degree_table,
     graph_edge_universe,
     is_int,
     mask_select,
     pairs_json,
     witness_json,
 )
-from .fileio import parse_graph_text, serialize_graph
+from .fileio import ParseError, parse_graph_text, serialize_graph
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     BudgetExhausted,
@@ -466,9 +466,9 @@ def check_claim(claim: Claim, instance, budget=None):
 
 
 def _instance_degrees(instance):
-    """Counterexample details' degrees, read from ``degree_table``: a
+    """Counterexample details' degrees, read from its ``degree_table``: a
     digraph's [out, in, total] per vertex, otherwise the degree per label."""
-    labels, totals, *directed = degree_table(instance)
+    labels, totals, *directed = instance.degree_table
     if directed:
         return {str(v): [out, in_, total] for v, total, out, in_ in zip(labels, totals, *directed)}
     return {str(v): total for v, total in zip(labels, totals)}
@@ -502,11 +502,11 @@ def run_suite(
     each mask as its instance is checked (kinds are processed digraph,
     bipartite, graph and sizes ascending, so the draw order is
     reproducible).  Every size is checked before any work: it must be a
-    positive integer and, in exhaustive mode only, at most its kind's cap
-    (the ``max_n`` of its type in ``core.KINDS``); GraphError otherwise.  A
-    claim id named twice is swept once.  Counterexamples are appended to
-    ``store_path`` when given, in (claim id, n, instance) order.  Returns
-    ClaimVerdicts in request order.
+    positive integer and at most its kind's cap in exhaustive mode (the
+    ``max_n`` of its type in ``core.KINDS``), or at most ``core.MASK_N`` in
+    random mode; GraphError otherwise.  A claim id named twice is swept
+    once.  Counterexamples are appended to ``store_path`` when given, in
+    (claim id, n, instance) order.  Returns ClaimVerdicts in request order.
     """
     if mode not in ("exhaustive", "random"):
         raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
@@ -514,8 +514,10 @@ def run_suite(
     sizes = dict.fromkeys(n_values)  # checked before sorting: "3" and 2 do not order
     swept = [(kind, [c for c in claims if c.instance_kind == kind]) for kind in KINDS]
     swept = [(kind, kind_claims) for kind, kind_claims in swept if kind_claims]
-    for kind, _ in swept:  # one size past a cap is 2^28 instances or more
-        cap = KINDS[kind].max_n if mode == "exhaustive" else float("inf")
+    # one exhaustive size past its cap is 2^28 instances or more; a random
+    # draw reads a universe list of n(n - 1)/2 to n^2 pairs, quadratic in n
+    for kind, _ in swept:
+        cap = KINDS[kind].max_n if mode == "exhaustive" else MASK_N
         for n in sizes:
             _check_enum_bounds(n, cap, kind)
     sizes = sorted(sizes)
@@ -759,12 +761,16 @@ def _store_line_problem(record):
 def reverify_record(record, budget=None) -> bool:
     """Re-run hypothesis and conclusion on a stored counterexample with fresh
     solver calls; True when the failure reproduces (never for an unknown
-    claim id or an instance not of its claim's kind)."""
+    claim id, an instance text that does not parse, or an instance not of
+    its claim's kind or not of the record's n)."""
     claim = CLAIMS.get(record["claim_id"])
     if claim is None:
         return False
-    instance = parse_graph_text(record["instance"])
-    if instance.kind != claim.instance_kind:
+    try:
+        instance = parse_graph_text(record["instance"])
+    except (ParseError, GraphError):
+        return False
+    if instance.kind != claim.instance_kind or instance.n != record["n"]:
         return False
     outcome, _ = check_claim(claim, instance, budget)
     return outcome == COUNTEREXAMPLE

@@ -15,6 +15,7 @@ from hypothesis import assume, given, strategies as st
 
 from zham import GraphError, cli, verifier
 from zham.cli import main
+from zham.core import MASK_N
 from zham.fileio import MAX_HEADER_N, parse_graph_text
 from zham.verifier import CLAIMS, Claim
 
@@ -367,6 +368,15 @@ class TestVerifyCommand:
         ]
         assert main(args) == 0
         assert "thm-gz" in capsys.readouterr().out
+
+    def test_random_size_above_mask_n_exits_3(self, capsys):
+        n = str(MASK_N + 1)
+        args = [
+            "verify", "--claims", "dirac", "--n-min", n, "--n-max", n,
+            "--mode", "random", "--samples", "1",
+        ]
+        assert main(args) == 3
+        assert f"capped at n={MASK_N}" in capsys.readouterr().err
 
     def test_random_mode_is_reproducible(self, capsys):
         args = [

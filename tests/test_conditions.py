@@ -569,11 +569,11 @@ class TestLazyReport:
     def test_degree_table_is_built_once_per_instance(self):
         g = BipartiteGraph(3, frozenset({(1, 1), (2, 2), (3, 3), (1, 2)}))
         moon_moser_half(g)
-        table = g._memo["degrees"]
+        table = g.degree_table
         las_vergnas(g)
         moon_moser_k(g, 2)
         ore_bipartite(g, 5)
-        assert g._memo["degrees"] is table
+        assert g.degree_table is table
         assert table == (("x1", "x2", "x3", "y1", "y2", "y3"), (2, 1, 1, 1, 2, 1))
 
     def test_concurrent_first_reads_list_equal_tuples(self):

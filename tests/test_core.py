@@ -28,7 +28,7 @@ from zham import (
     format_bipartite_vertex,
 )
 from zham import core, solvers
-from zham.core import arc_universe, bipartite_edge_universe, degree_table, graph_edge_universe
+from zham.core import arc_universe, bipartite_edge_universe, graph_edge_universe
 from zham.verifier import enumerate_bipartite, enumerate_digraphs, enumerate_graphs
 
 from brute import (
@@ -479,6 +479,8 @@ class TestMaskIndex:
         host, twin = cls(n, given_pairs), cls(n, given_pairs)
         filled, derived = (MASK_FIELDS, ROW_FIELDS) if masked else (ROW_FIELDS, MASK_FIELDS)
         assert filled & set(vars(twin)) and not derived & set(vars(twin))
+        # the constructor fills the degree table beside the rows
+        assert "degree_table" in vars(twin)
         expected = {tuple(p) if cls is not Graph else tuple(sorted(p)) for p in given_pairs}
         assert host.pairs == expected
         rows = _recounted_rows(host)
@@ -488,7 +490,7 @@ class TestMaskIndex:
             assert host.masks == tuple(map(_bits, rows["successors"]))
             assert host.in_masks == tuple(map(_bits, rows["predecessors"]))
             totals = tuple(map(int.__add__, outs, ins))
-            assert degree_table(host) == (host.vertices(), totals, tuple(outs), tuple(ins))
+            assert host.degree_table == (host.vertices(), totals, tuple(outs), tuple(ins))
             assert solvers.strongly_connected(host) == strongly_connected_reference(host)
             for u in host.vertices():
                 assert (host.out_degree(u), host.in_degree(u)) == (outs[u - 1], ins[u - 1])
@@ -496,7 +498,7 @@ class TestMaskIndex:
         elif cls is Graph:
             degree_list = tuple(len(rows["neighbors"][u]) for u in host.vertices())
             assert host.masks == tuple(map(_bits, rows["neighbors"]))
-            assert degree_table(host) == (host.vertices(), degree_list)
+            assert host.degree_table == (host.vertices(), degree_list)
             assert tuple(map(host.degree, host.vertices())) == degree_list
         else:
             xs, ys = rows["neighbors_x"], rows["neighbors_y"]
@@ -505,7 +507,7 @@ class TestMaskIndex:
                                   *map(_bits, ys[1:]))
             degree_list = tuple(len(row) for row in xs[1:] + ys[1:])
             labels = [f"{side}{i}" for side in "xy" for i in range(1, n + 1)]
-            assert degree_table(host) == (tuple(labels), degree_list)
+            assert host.degree_table == (tuple(labels), degree_list)
             assert tuple(map(host.degree, host.vertices())) == degree_list
             assert tuple(map(host.degree_x, range(1, n + 1))) == degree_list[:n]
             assert tuple(map(host.degree_y, range(1, n + 1))) == degree_list[n:]

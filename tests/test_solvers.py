@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -384,6 +386,11 @@ class TestInstanceMemo:
         assert solved == fresh and hash(solved) == hash(fresh)
         assert repr(solved) == repr(fresh)
         assert zmap(solved) == zmap(fresh)
+        # derived state is no dataclass field, so asdict never carries it
+        assert dataclasses.asdict(solved) == dataclasses.asdict(fresh)
+        assert dataclasses.asdict(zmap(solved)) == dataclasses.asdict(zmap(fresh))
+        for cls, pairs in ((Digraph, "arcs"), (Graph, "edges"), (BipartiteGraph, "edges")):
+            assert [f.name for f in dataclasses.fields(cls)] == ["n", pairs]
 
 
 def _two_blocks():

@@ -463,6 +463,69 @@ def test_the_check_sees_private_row_reads():
     assert sorted(private_row_reads(ROW_READS)) == ["<module>", "cycles", "inner", "reach", "reach"]
 
 
+def non_init_fields(text):
+    """The dataclass fields that Python source ``text`` declares with
+    ``init=False`` (``name: T = field(..., init=False)`` in a class body,
+    ``dataclasses.field`` included), as ``Class.name``, in the order
+    ``ast.walk`` visits them."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                call = stmt.value if isinstance(stmt, ast.AnnAssign) else None
+                if (
+                    isinstance(call, ast.Call)
+                    and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == "field"
+                    and any(
+                        kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is False
+                        for kw in call.keywords
+                    )
+                ):
+                    found.append(f"{node.name}.{stmt.target.id}")
+    return found
+
+
+def test_derived_state_is_no_dataclass_field():
+    # a field left out of __init__ holds state derived from the others, yet
+    # dataclasses.fields, asdict and astuple still list it; derived state is
+    # a plain instance attribute instead
+    fields = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in non_init_fields(path.read_text(encoding="utf-8"))
+    }
+    assert fields == set()
+
+
+FIELDS = '''\
+import dataclasses
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class Value:
+    n: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    details: dict = field(default_factory=dict, compare=False)
+    cache: dict = dataclasses.field(init=False)
+    shown: int = field(init=True)
+
+
+@dataclass
+class Other:
+    count: int = 0
+
+    def method(self):
+        local: int = field(init=False)
+        return local
+'''
+
+
+def test_the_check_sees_non_init_fields():
+    assert non_init_fields(FIELDS) == ["Value._memo", "Value.cache"]
+
+
 def raised_names(text):
     """Names of the exceptions that Python source ``text`` raises by name
     (``raise E``, ``raise E(...)``, ``raise mod.E(...)``), one per raise

@@ -42,7 +42,7 @@ from zham.verifier import (
     random_instance,
     render_table,
 )
-from zham.core import format_bipartite_vertex
+from zham.core import MASK_N, format_bipartite_vertex
 
 C3 = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
 
@@ -308,6 +308,13 @@ class TestRunSuite:
         with pytest.raises(GraphError, match=message):
             run_suite(["thm-gz"], [2, n], mode=mode, samples=1, seed=1)
 
+    def test_a_random_size_above_mask_n_is_refused_before_any_work(self, monkeypatch):
+        # each draw would read a universe list of n(n - 1)/2 pairs
+        monkeypatch.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
+        message = f"^graph enumeration capped at n={MASK_N}, got n={MASK_N + 1}$"
+        with pytest.raises(GraphError, match=message):
+            run_suite(["dirac"], [MASK_N + 1], mode="random", samples=1)
+
     def test_the_cap_binds_in_exhaustive_mode_only(self, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
@@ -442,6 +449,21 @@ class TestStore:
             "tool_version": "0.1.0", "rng_seed": None,
         }
         assert reverify_record(record) is False
+
+    @pytest.mark.parametrize("instance", ["garbage", "B 3\n1 9\n"])
+    def test_an_instance_that_does_not_parse_does_not_reverify(self, instance):
+        record = {
+            "claim_id": "mm-k", "n": 3, "instance": instance, "details": {},
+            "tool_version": "0.1.0", "rng_seed": None,
+        }
+        assert reverify_record(record) is False
+
+    def test_an_instance_of_another_size_does_not_reverify(self, tmp_path):
+        store_path = tmp_path / "zhu.jsonl"
+        run_suite(["zhu"], [4], store_path=store_path)
+        record = CounterexampleStore(store_path).load()[0]
+        assert reverify_record(record)
+        assert reverify_record({**record, "n": 7}) is False
 
     def test_stored_instances_reverify_with_fresh_solvers(self, tmp_path):
         store_path = tmp_path / "zhu.jsonl"
