@@ -6,24 +6,27 @@ All types are immutable after construction and validate their invariants in
 ``__post_init__``; instances are safe to share between threads.  Vertices are
 1-based integers; bipartite vertices are ``("x", i)`` / ``("y", j)`` tags.
 
-Each graph type indexes its pairs by rows, one per vertex, in one of two
-forms chosen by n.  Up to ``MASK_N`` the validating pass of its constructor
-fills bitmask rows, bit v of row u for each pair (u, v) out of u, so a
-degree is one ``int.bit_count`` and an adjacency test one shift; the
-ascending tuple rows behind ``successors``, ``predecessors`` and
-``neighbors*`` are derived from the masks on first read and then kept on
-the instance.  Above it a bitmask row would be as wide as n, so the
-constructor fills the tuple rows, and masks are derived only where a caller
-reads them (the cycle search).  The same pass sizes each row, and from those
-sizes the constructor sets ``degree_table``: the vertex labels and degrees
-in ``vertices()`` order ("x1".."xn", "y1".."yn" for a bipartite graph),
-plus a digraph's out- and in-degrees in the same order.  The condition
-predicates, the solvers' prunes, ``degrees`` and the verifier's
-counterexample details all read this one table.  Each type also states its
-id space (see ``KINDS``): ids 1..n, or 1..2n for a bipartite graph, whose
-x_i is id i and y_j id n + j, with an adjacency mask and row per id.  The
-cycle search and the certificate check walk those ids alone, so neither
-tells the kinds apart.
+Each type states its id space (see ``KINDS``): ids 1..n, or 1..2n for a
+bipartite graph, whose x_i is id i and y_j id n + j.  Its index is over
+those ids, one row per id, in one of two forms chosen by n: ``masks`` and
+``rows`` (a digraph's out-rows; its in-rows are ``in_masks`` and
+``_pred``).  Up to ``MASK_N`` the validating pass of its constructor fills
+bitmask rows, bit w of row v for each id w adjacent to v, so a degree is
+one ``int.bit_count`` and an adjacency test one shift; the ascending tuple
+rows are derived from the masks on first read and then kept on the
+instance.  Above it a bitmask row would be as wide as n, so the constructor
+fills the tuple rows, and masks are derived only where a caller reads them
+(the cycle search).  The same pass sizes each row, and from those sizes the
+constructor sets ``degree_table``: the vertex labels and degrees in
+``vertices()`` order ("x1".."xn", "y1".."yn" for a bipartite graph), plus a
+digraph's out- and in-degrees in the same order.  The condition predicates,
+the solvers' prunes, ``degrees`` and the verifier's counterexample details
+all read this one table.  The cycle search and the certificate check walk
+the ids alone, so neither tells the kinds apart.  Only ``core`` and the
+solvers read the index; every other module asks the per-vertex accessors
+(``successors``, ``neighbors_x``, ``degree`` and the rest), which take a
+vertex of the value and raise ``VertexRangeError`` for anything else (the
+row methods also take 0, an empty row).
 
 ``Digraph``, ``Graph`` and ``BipartiteGraph`` carry a private ``_memo`` dict,
 set by the constructor beside the index, that the solvers and the Z-mapping
@@ -79,7 +82,7 @@ def _check_endpoint(v, n, where=""):
 MASK_N = 256
 
 
-def _index_pairs(obj, name, tables, bipartite=False):
+def _index_pairs(obj, name, tables=(("masks", "rows"),), bipartite=False):
     """Validate and index the pairs field ``name`` of the value ``obj``.
 
     The one validator of the three graph types: ``n`` must be a positive
@@ -87,29 +90,34 @@ def _index_pairs(obj, name, tables, bipartite=False):
     pair a self-loop.  A bipartite value's n is a part size and its messages
     name the part of an endpoint; its (i, i) joins x_i to y_i.  The field is
     set to the frozenset of the pairs as tuples, each normalised to
-    (min, max) when ``tables`` names one table (``Graph``); a frozenset
-    given in that form is kept as it is.
+    (min, max) for a ``Graph``; a frozenset given in that form is kept as
+    it is.
 
-    ``tables`` names each index table as a (masks, rows) pair of attributes:
-    a table with a row per first endpoint and one with a row per second, or
-    one table filled from both ends.  Up to ``MASK_N`` the validating pass
-    sets bit v of row u of the first table and bit u of row v of the second
-    for each pair (u, v), a repeated pair setting the same bits again; above
-    it the pairs fill ascending tuple rows.  The form not filled is derived
-    on its first read (``_forms``).  Also sets the value's empty ``_memo``.
+    ``tables`` names each index table as a (masks, rows) pair of
+    attributes, a row per id: a digraph's table with a row per tail and
+    one with a row per head, or one table filled from both ends.  A pair
+    (u, v) joins id u to id v + s, where s is n for a bipartite value
+    (x_i is id i and y_j id n + j, so its one table has 2n rows) and 0
+    otherwise.  Up to ``MASK_N`` the validating pass sets bit v + s of row
+    u of the first table and bit u of row v + s of the last, a repeated
+    pair setting the same bits again; above it the pairs fill ascending
+    tuple rows.  The form not filled is derived on its first read
+    (``_forms``).  Also sets the value's empty ``_memo``.
 
-    Returns the sizes of rows 1..n of each table, popcounts of its masks or
-    lengths of its tuple rows: the degrees the constructor tabulates.
+    Returns the sizes of the rows of each table but row 0, popcounts of its
+    masks or lengths of its tuple rows: the degrees the constructor
+    tabulates, a bipartite value's x degrees then its y degrees.
     """
     n = obj.n
     size = "part size" if bipartite else "vertex count"
     parts = (" (x part)", " (y part)") if bipartite else ("", "")
     if not is_int(n) or n < 1:
         raise GraphError(f"{size} must be a positive integer, got {n!r}")
-    undirected = len(tables) == 1
+    undirected = len(tables) == 1 and not bipartite
     masked = n <= MASK_N
-    first = [0] * (n + 1)
-    second = first if undirected else [0] * (n + 1)
+    shift = n if bipartite else 0
+    first = [0] * (n + shift + 1)
+    second = first if len(tables) == 1 else [0] * (n + 1)
     pairs = getattr(obj, name)
     # a frozenset of tuples already in normal form is kept as it is; other
     # input, perhaps a one-shot iterator whose items are checked as they
@@ -127,8 +135,8 @@ def _index_pairs(obj, name, tables, bipartite=False):
         if not bipartite and u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if masked:
-            first[u] |= 1 << v
-            second[v] |= 1 << u
+            first[u] |= 1 << v + shift
+            second[v + shift] |= 1 << u
         if gather:
             cleaned.add((v, u) if undirected and v < u else (u, v))
         elif type(item) is not tuple or undirected and v < u:
@@ -137,13 +145,13 @@ def _index_pairs(obj, name, tables, bipartite=False):
         pairs = cleaned if gather else {(v, u) if undirected and v < u else (u, v) for u, v in pairs}
     object.__setattr__(obj, name, frozenset(pairs))
     if not masked:
-        first = [[] for _ in range(n + 1)]
+        first = [[] for _ in range(n + shift + 1)]
         # a Graph's one row per vertex gets its smaller neighbours, then its
         # larger ones, both ascending in sorted pair order
-        second = first if undirected else [[] for _ in range(n + 1)]
+        second = first if len(tables) == 1 else [[] for _ in range(n + 1)]
         for u, v in sorted(getattr(obj, name)):
-            first[u].append(v)
-            second[v].append(u)
+            first[u].append(v + shift)
+            second[v + shift].append(u)
         first, second = map(tuple, first), map(tuple, second)
     sizes = []
     for (masks, rows), table in zip(tables, (first, second)):
@@ -175,13 +183,15 @@ def _row_mask(row):
     return sum(1 << w for w in row)
 
 
-def _forms(masks, rows):
+def _forms(masks="masks", rows="rows"):
     """The two forms of one index table, bitmask rows ``masks`` and tuple
     rows ``rows``, each as a cached_property that converts the other row by
-    row.  The constructor fills one form; the other is derived on its first
-    read and stored in the instance __dict__, where every later read is a
-    plain attribute lookup.  Neither is a dataclass field, so equality,
-    hashing and repr ignore both."""
+    row.  Every type's first (or only) table is ``masks``/``rows``, a row
+    per id; a digraph's second, its in-rows, is ``in_masks``/``_pred``.
+    The constructor fills one form; the other is derived on its first read
+    and stored in the instance __dict__, where every later read is a plain
+    attribute lookup.  Neither is a dataclass field, so equality, hashing
+    and repr ignore both."""
     return (
         cached_property(lambda self: tuple(map(_row_mask, getattr(self, rows)))),
         cached_property(lambda self: tuple(map(_bit_row, getattr(self, masks)))),
@@ -195,6 +205,16 @@ def _own_id(host, v):
 
 
 def _own_vertex(host, i):
+    return i
+
+
+def _id(host, vertex):
+    """The id of ``vertex`` on ``host``, else ``VertexRangeError``: the
+    range check of the per-vertex accessors, so that no index reads another
+    vertex's row or degree.  The row methods answer index 0, the empty row
+    0, without it."""
+    if (i := host.id_of(vertex)) is None:
+        raise VertexRangeError(f"{vertex!r} is not a vertex of this {host.kind} (n = {host.n})")
     return i
 
 
@@ -224,17 +244,16 @@ class Digraph:
     shortest_cycle = 2  # a digon uses two distinct arcs
     pairs = property(attrgetter("arcs"))
     id_count = property(attrgetter("n"))
-    rows = property(attrgetter("_succ"))
     id_of = _own_id
     vertex_of = _own_vertex
-    masks, _succ = _forms("masks", "_succ")
+    masks, rows = _forms()
     in_masks, _pred = _forms("in_masks", "_pred")
 
     n: int
     arcs: frozenset = frozenset()
 
     def __post_init__(self):
-        outs, ins = _index_pairs(self, "arcs", (("masks", "_succ"), ("in_masks", "_pred")))
+        outs, ins = _index_pairs(self, "arcs", (("masks", "rows"), ("in_masks", "_pred")))
         totals = tuple(map(int.__add__, outs, ins))
         object.__setattr__(self, "degree_table", (self.vertices(), totals, outs, ins))
 
@@ -242,20 +261,20 @@ class Digraph:
         return range(1, self.n + 1)
 
     def successors(self, u):
-        return self._succ[u]
+        return self.rows[_id(self, u) if u != 0 else 0]
 
     def predecessors(self, u):
-        return self._pred[u]
+        return self._pred[_id(self, u) if u != 0 else 0]
 
     def out_degree(self, u):
-        return self.degree_table[2][u - 1]
+        return self.degree_table[2][_id(self, u) - 1]
 
     def in_degree(self, u):
-        return self.degree_table[3][u - 1]
+        return self.degree_table[3][_id(self, u) - 1]
 
     def degree(self, u):
         """Total degree d(u) = d+(u) + d-(u)."""
-        return self.degree_table[1][u - 1]
+        return self.degree_table[1][_id(self, u) - 1]
 
     def has_arc(self, u, v):
         return (u, v) in self.arcs
@@ -282,26 +301,25 @@ class Graph:
     shortest_cycle = 3
     pairs = property(attrgetter("edges"))
     id_count = property(attrgetter("n"))
-    rows = property(attrgetter("_adj"))
     id_of = _own_id
     vertex_of = _own_vertex
-    masks, _adj = _forms("masks", "_adj")
+    masks, rows = _forms()
 
     n: int
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        (degrees,) = _index_pairs(self, "edges", (("masks", "_adj"),))
+        (degrees,) = _index_pairs(self, "edges")
         object.__setattr__(self, "degree_table", (self.vertices(), degrees))
 
     def vertices(self):
         return range(1, self.n + 1)
 
     def neighbors(self, u):
-        return self._adj[u]
+        return self.rows[_id(self, u) if u != 0 else 0]
 
     def degree(self, u):
-        return self.degree_table[1][u - 1]
+        return self.degree_table[1][_id(self, u) - 1]
 
     def has_edge(self, u, v):
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -315,7 +333,10 @@ class BipartiteGraph:
     """Balanced bipartite graph with parts x1..xn and y1..yn.
 
     An edge ``(i, j)`` joins x_i to y_j; both parts always have exactly n
-    vertices, so balance is structural rather than checked.
+    vertices, so balance is structural rather than checked.  Its index is
+    over the ids 1..2n, x_i as id i and y_j as id n + j: x_i's mask has
+    bit n + j for each neighbour y_j and y_j's mask bit i for each
+    neighbour x_i, so a mask or row holds only ids of the other part.
     """
 
     kind = "bipartite"
@@ -326,50 +347,29 @@ class BipartiteGraph:
     cycle_kind = GRAPH_CYCLE
     shortest_cycle = 3
     pairs = property(attrgetter("edges"))
-    _x_masks, _adj_x = _forms("_x_masks", "_adj_x")
-    _y_masks, _adj_y = _forms("_y_masks", "_adj_y")
+    id_count = property(lambda self: 2 * self.n)
+    masks, rows = _forms()
 
     n: int
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        tables = (("_x_masks", "_adj_x"), ("_y_masks", "_adj_y"))
-        x_degrees, y_degrees = _index_pairs(self, "edges", tables, bipartite=True)
-        object.__setattr__(self, "degree_table", (_part_labels(self.n), x_degrees + y_degrees))
+        (degrees,) = _index_pairs(self, "edges", bipartite=True)
+        object.__setattr__(self, "degree_table", (_part_labels(self.n), degrees))
 
     def neighbors_x(self, i):
         """y-indices adjacent to x_i, ascending."""
-        return self._adj_x[i]
+        return tuple(w - self.n for w in self.rows[_id(self, ("x", i)) if i != 0 else 0])
 
     def neighbors_y(self, j):
         """x-indices adjacent to y_j, ascending."""
-        return self._adj_y[j]
+        return self.rows[_id(self, ("y", j)) if j != 0 else 0]
 
     def degree_x(self, i):
-        return self.degree_table[1][i - 1]
+        return self.degree(("x", i))
 
     def degree_y(self, j):
-        return self.degree_table[1][self.n + j - 1]
-
-    @property
-    def id_count(self):
-        return 2 * self.n
-
-    @cached_property
-    def masks(self):
-        """Adjacency bitmasks over the ids 1..2n, built on first read and
-        kept like the derived rows: x_i's mask has bit n + j for each
-        neighbour y_j and y_j's mask bit i for each neighbour x_i, so a mask
-        holds only ids of the other part."""
-        return (0, *(m << self.n for m in self._x_masks[1:]), *self._y_masks[1:])
-
-    @cached_property
-    def rows(self):
-        """Ascending adjacency rows over the same ids, built on first read
-        and kept: x_i's row holds n + j for each neighbour y_j, y_j's row
-        the i of each neighbour x_i."""
-        x_rows = (tuple(self.n + j for j in row) for row in self._adj_x[1:])
-        return ((), *x_rows, *self._adj_y[1:])
+        return self.degree(("y", j))
 
     def id_of(self, vertex):
         """x_i -> i, y_j -> n + j; None for anything that is not a vertex."""
@@ -387,8 +387,7 @@ class BipartiteGraph:
         return map(self.vertex_of, range(1, self.id_count + 1))
 
     def degree(self, vertex):
-        side, i = vertex
-        return self.degree_x(i) if side == "x" else self.degree_y(i)
+        return self.degree_table[1][_id(self, vertex) - 1]
 
     def has_edge(self, i, j):
         return (i, j) in self.edges
@@ -412,6 +411,7 @@ def _part_labels(n):
 # arcs or edges in enumeration-bit order.  Beside them each states its id
 # space: ``id_count``, ``masks`` (bit w of mask v set for each id w adjacent
 # to id v, mask 0 empty), ``rows`` (the same adjacency as ascending tuples),
+# the one index the constructor fills in one form and the other derives;
 # ``id_of`` (witness vertex -> id, None for a non-vertex) and ``vertex_of``;
 # its cycle witnesses' ``cycle_kind`` and ``shortest_cycle``; and ``pairs``,
 # its arc or edge set

@@ -8,12 +8,14 @@ running out is reported as an explicit outcome (``exhausted``), never
 conflated with "not found".  Returned witnesses are self-certified against
 the host before they leave a solver.  Strong connectivity and each
 Hamiltonian cycle search (per node budget) are memoised on the instance, so
-repeated questions about one value are answered once.  One cycle search
-serves every kind: it walks the id space the host's type states (ids
-1..``id_count`` and their adjacency ``masks``) and maps the ids it finds
-back to the host's vertices.  Strong connectivity grows reached-id masks
-along the same bitmask rows (a Tarjan walk over the tuple rows of a
-digraph above ``core.MASK_N``), and every prune reads the host's
+repeated questions about one value are answered once.  Every search walks
+the index of the id space the host's type states (ids 1..``id_count``,
+their adjacency ``masks`` and ``rows``), the one index its constructor
+fills.  One cycle search serves every kind and maps the ids it finds back
+to the host's vertices.  Strong connectivity grows reached-id masks along
+the same bitmask rows (a Tarjan walk over the tuple rows of a digraph
+above ``core.MASK_N``).  The matching searches walk a bipartite host's id
+rows, in which y_j is id n + j, and every prune reads the host's
 ``degree_table``.
 
 Every search keeps its own stack instead of recursing, so each works for
@@ -99,7 +101,7 @@ def strongly_connected_components(d: Digraph):
         index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
-        walk = [(root, iter(d.successors(root)))]
+        walk = [(root, iter(d.rows[root]))]
         while walk:
             v, successors = walk[-1]
             for w in successors:
@@ -107,7 +109,7 @@ def strongly_connected_components(d: Digraph):
                     index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    walk.append((w, iter(d.successors(w))))
+                    walk.append((w, iter(d.rows[w])))
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
@@ -253,8 +255,9 @@ def _find_cycle(host, viable, budget) -> SolveResult:
     """Prune, search and certify: the body of every ``find_hamiltonian_cycle*``.
 
     ``viable`` is the host kind's necessary-condition prune.  The search
-    walks the host's ids and masks (a bipartite host's merged ids, on which
-    parts alternate by construction) and its witness maps each id back to a
+    walks the host's ids and masks (for a bipartite host x_i is id i and
+    y_j id n + j, and a mask holds only ids of the other part, so parts
+    alternate by construction) and its witness maps each id back to a
     vertex of the host.  The result is memoised on ``host`` per node budget,
     so asking again with the same budget returns it without a second search.
     """
@@ -295,7 +298,7 @@ def find_hamiltonian_cycle_bipartite(g: BipartiteGraph, budget=None) -> SolveRes
     """Spanning cycle of length 2n in a balanced bipartite graph (needs n >= 2).
 
     Deterministic like the digraph solver: starts at x1, smallest neighbor
-    first (y-part indices count from n+1 internally, so parts alternate by
+    first (y_j is id n + j of the host's index, so parts alternate by
     construction).
     """
     return _find_cycle(g, _bipartite_viable, budget)
@@ -310,12 +313,15 @@ def max_matching(g: BipartiteGraph) -> Matching:
     """Maximum-cardinality matching via Hopcroft-Karp layered augmentation.
 
     Deterministic under the fixed vertex order (free x vertices and adjacency
-    are scanned ascending).
+    are scanned ascending).  Walks the host's id rows, in which y_j is id
+    n + j: ``match_x[i]`` is the id of x_i's partner, ``match_y[n + j]``
+    that of y_j's, 0 while unmatched.
     """
     n = g.n
+    rows = g.rows
     INF = n + 1
-    match_x = [0] * (n + 1)  # 0 = unmatched
-    match_y = [0] * (n + 1)
+    match_x = [0] * (n + 1)
+    match_y = [0] * (2 * n + 1)
     dist = [0] * (n + 1)
 
     def bfs():
@@ -331,8 +337,8 @@ def max_matching(g: BipartiteGraph) -> Matching:
         while head < len(queue):
             i = queue[head]
             head += 1
-            for j in g.neighbors_x(i):
-                nxt = match_y[j]
+            for w in rows[i]:
+                nxt = match_y[w]
                 if nxt == 0:
                     found_free = True
                 elif dist[nxt] == INF:
@@ -342,14 +348,14 @@ def max_matching(g: BipartiteGraph) -> Matching:
 
     def augment(root):
         # layered walk from a free x: ``path`` holds (x, untried neighbors)
-        # frames and ``ys[t]`` the y leading on from path[t]; a dead end
+        # frames and ``ys[t]`` the y id leading on from path[t]; a dead end
         # leaves its layer, a free y flips every pair along the path
-        path = [(root, iter(g.neighbors_x(root)))]
+        path = [(root, iter(rows[root]))]
         ys = []
         while path:
             i, neighbors = path[-1]
-            for j in neighbors:
-                nxt = match_y[j]
+            for w in neighbors:
+                nxt = match_y[w]
                 if nxt == 0 or dist[nxt] == dist[i] + 1:
                     break
             else:
@@ -358,19 +364,19 @@ def max_matching(g: BipartiteGraph) -> Matching:
                 if ys:
                     ys.pop()
                 continue
-            ys.append(j)
+            ys.append(w)
             if nxt == 0:
-                for (i, _), j in zip(path, ys):
-                    match_x[i] = j
-                    match_y[j] = i
+                for (i, _), w in zip(path, ys):
+                    match_x[i] = w
+                    match_y[w] = i
                 return
-            path.append((nxt, iter(g.neighbors_x(nxt))))
+            path.append((nxt, iter(rows[nxt])))
 
     while bfs():
         for i in range(1, n + 1):
             if match_x[i] == 0:
                 augment(i)
-    return Matching(frozenset((i, match_x[i]) for i in range(1, n + 1) if match_x[i]))
+    return Matching(frozenset((i, match_x[i] - n) for i in range(1, n + 1) if match_x[i]))
 
 
 def has_perfect_matching(g: BipartiteGraph) -> bool:
@@ -380,34 +386,36 @@ def has_perfect_matching(g: BipartiteGraph) -> bool:
 def _iter_perfect_matchings(g: BipartiteGraph, budget):
     """All perfect matchings, ordered by ascending partner choice for x1, x2, ...
 
-    Spends one budget node per tentative pair assignment.
+    Spends one budget node per tentative pair assignment.  Walks the
+    host's id rows, in which y_j is id n + j.
     """
     n = g.n
     if 0 in g.degree_table[1]:
         return
-    used = 0  # bit j set while y_j is taken
+    rows = g.rows
+    used = 0  # bit n + j set while y_j is taken
     chosen = []
-    # candidates[i - 1] iterates the partners still to try for x_i
-    candidates = [iter(g.neighbors_x(1))]
+    # candidates[i - 1] iterates the partner ids still to try for x_i
+    candidates = [iter(rows[1])]
     while candidates:
-        for j in candidates[-1]:
-            if not used >> j & 1:
+        for w in candidates[-1]:
+            if not used >> w & 1:
                 break
         else:
             candidates.pop()
             if chosen:
-                used ^= 1 << chosen.pop()[1]
+                used ^= 1 << n + chosen.pop()[1]
             continue
         i = len(candidates)
-        used |= 1 << j
-        chosen.append((i, j))
+        used |= 1 << w
+        chosen.append((i, w - n))
         budget.spend()
         if i < n:
-            candidates.append(iter(g.neighbors_x(i + 1)))
+            candidates.append(iter(rows[i + 1]))
         else:
             yield frozenset(chosen)
             chosen.pop()
-            used ^= 1 << j
+            used ^= 1 << w
 
 
 def enumerate_perfect_matchings(g: BipartiteGraph, budget=None):

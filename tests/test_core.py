@@ -420,6 +420,47 @@ class TestAdjacencyRows:
             assert set(g.neighbors_y(i)) == {a for a, j in g.edges if j == i}
 
 
+class TestVertexAccessors:
+    """A per-vertex accessor answers for its own vertex or raises: a degree
+    accessor takes 1..n, a row method also 0 (the empty row 0), and no
+    other index reads another vertex's row or degree."""
+
+    D = Digraph(3, [(1, 2), (2, 3), (3, 1), (3, 2)])
+    G = Graph(3, [(1, 2), (2, 3)])
+    B = BipartiteGraph(2, [(1, 1), (1, 2), (2, 2)])
+
+    @pytest.mark.parametrize("u", [0, -1, 4, True, None, 1.0, ("x", 1)])
+    def test_degree_accessors_take_only_vertices(self, u):
+        for accessor in (self.D.out_degree, self.D.in_degree, self.D.degree, self.G.degree):
+            with pytest.raises(VertexRangeError):
+                accessor(u)
+
+    @pytest.mark.parametrize("i", [0, -1, 3, True, None])
+    def test_part_degree_accessors_take_only_part_indices(self, i):
+        for accessor in (self.B.degree_x, self.B.degree_y):
+            with pytest.raises(VertexRangeError):
+                accessor(i)
+
+    @pytest.mark.parametrize("vertex", [("z", 1), ("x", 0), ("y", 3), ("x", True), 1, ("x", 1, 2)])
+    def test_bipartite_degree_takes_only_tagged_vertices(self, vertex):
+        with pytest.raises(VertexRangeError):
+            self.B.degree(vertex)
+
+    @pytest.mark.parametrize("u", [-1, 4, True, None, ("x", 1)])
+    def test_row_methods_take_only_vertices_and_row_0(self, u):
+        for row in (self.D.successors, self.D.predecessors, self.G.neighbors):
+            assert row(0) == ()
+            with pytest.raises(VertexRangeError):
+                row(u)
+
+    @pytest.mark.parametrize("i", [-1, 3, True, None])
+    def test_part_rows_take_only_part_indices_and_row_0(self, i):
+        for row in (self.B.neighbors_x, self.B.neighbors_y):
+            assert row(0) == ()
+            with pytest.raises(VertexRangeError):
+                row(i)
+
+
 @st.composite
 def _given_pairs(draw):
     """A value type, n <= 8 and pairs of its kind as a caller may give them:
@@ -456,8 +497,8 @@ def _recounted_rows(host):
 
 # the index attributes of each form: the bitmask rows a constructor fills up
 # to MASK_N, and the tuple rows it fills above it
-MASK_FIELDS = {"masks", "in_masks", "_x_masks", "_y_masks"}
-ROW_FIELDS = {"_succ", "_pred", "_adj", "_adj_x", "_adj_y"}
+MASK_FIELDS = {"masks", "in_masks"}
+ROW_FIELDS = {"rows", "_pred"}
 
 
 class TestMaskIndex:
@@ -502,7 +543,6 @@ class TestMaskIndex:
             assert tuple(map(host.degree, host.vertices())) == degree_list
         else:
             xs, ys = rows["neighbors_x"], rows["neighbors_y"]
-            assert host._x_masks == tuple(map(_bits, xs))
             assert host.masks == (0, *(_bits(n + j for j in row) for row in xs[1:]),
                                   *map(_bits, ys[1:]))
             degree_list = tuple(len(row) for row in xs[1:] + ys[1:])

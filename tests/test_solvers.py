@@ -213,13 +213,15 @@ class TestMaxMatching:
         g = BipartiteGraph(n, frozenset(edges))
         scans = []
 
+        class CountingRows:
+            def __getitem__(self, i):
+                scans.append(i)
+                return g.rows[i]
+
         class Counting:
             def __init__(self):
                 self.n = n
-
-            def neighbors_x(self, i):
-                scans.append(i)
-                return g.neighbors_x(i)
+                self.rows = CountingRows()
 
         assert max_matching(Counting()).is_perfect(g)
         assert len(scans) <= 4 * n  # two phases, each x scanned once per BFS and walk

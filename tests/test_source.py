@@ -409,15 +409,18 @@ def test_the_check_sees_value_type_tests():
     assert value_type_tests(TYPE_TESTS) == ["<module>", "serialize", "serialize", "inner"]
 
 
-# a value type's private rows: its tuple rows and a bipartite graph's part
-# masks, whichever of the two forms its constructor fills
-PRIVATE_ROWS = {"_succ", "_pred", "_adj", "_adj_x", "_adj_y", "_x_masks", "_y_masks"}
+# a value type's private rows: a digraph's in-rows, the tuple form of its
+# second index table
+PRIVATE_ROWS = {"_pred"}
+
+# every table of a value type's index, in either form
+INDEX = {"masks", "rows", "in_masks", "_pred"}
 
 
-def private_row_reads(text):
-    """Where Python source ``text`` reads an attribute named in
-    ``PRIVATE_ROWS``: the innermost enclosing function, else ``<module>``,
-    one entry per read."""
+def attribute_reads(text, names):
+    """Where Python source ``text`` reads an attribute named in ``names``:
+    the innermost enclosing function, else ``<module>``, one entry per
+    read."""
     tree = ast.parse(text)
     functions = [
         node for node in ast.walk(tree)
@@ -425,42 +428,58 @@ def private_row_reads(text):
     ]
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_ROWS:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
             found.append(max(enclosing, key=lambda f: f.lineno).name if enclosing else "<module>")
     return found
 
 
-def test_only_core_reads_private_rows():
-    # the mask layout is core's decision: other modules read the public
-    # masks, degree accessors and row methods
-    reads = {
+def _reads_outside(names, allowed):
+    return {
         f"{path.stem}.{name}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "core.py"
-        for name in private_row_reads(path.read_text(encoding="utf-8"))
+        if path.name not in allowed
+        for name in attribute_reads(path.read_text(encoding="utf-8"), names)
     }
-    assert reads == set()
+
+
+def test_only_core_reads_private_rows():
+    # the row layout is core's decision: the solvers read the public index
+    # tables, other modules the degree accessors and row methods
+    assert _reads_outside(PRIVATE_ROWS, {"core.py"}) == set()
+
+
+def test_only_core_and_solvers_read_the_index():
+    # the id-space layout (y_j as id n + j for a bipartite graph) is known
+    # to the module that fills the index and the one whose searches walk
+    # it; every other module asks the per-vertex accessors
+    assert _reads_outside(INDEX, {"core.py", "solvers.py"}) == set()
 
 
 ROW_READS = '''\
-rows = GRAPH._adj
+rows = GRAPH._pred
 
 
 def reach(d):
-    return walk(d._succ, d.n) and walk(d._pred, d.n)
+    return walk(d._pred, d.n) and walk(d.rows, d.n)
 
 
 def cycles(d, g):
     def inner():
-        return g._x_masks[1], g.masks, d.in_masks
+        return g.masks[1], d.in_masks, d._predecessors
 
-    return g._y_masks, inner(), getattr(d, "_pred"), d.successors(1)
+    return g.rows, inner(), getattr(d, "_pred"), d.successors(1)
 '''
 
 
 def test_the_check_sees_private_row_reads():
-    assert sorted(private_row_reads(ROW_READS)) == ["<module>", "cycles", "inner", "reach", "reach"]
+    assert sorted(attribute_reads(ROW_READS, PRIVATE_ROWS)) == ["<module>", "reach"]
+
+
+def test_the_check_sees_index_reads():
+    assert sorted(attribute_reads(ROW_READS, INDEX)) == [
+        "<module>", "cycles", "inner", "inner", "reach", "reach",
+    ]
 
 
 def non_init_fields(text):
