@@ -55,7 +55,6 @@ from .verifier import (
     established_failures,
     pullback_halves,
     render_table,
-    report_json,
     run_suite,
 )
 from .zmapping import matching_pushforward, unzmap, zmap
@@ -74,7 +73,7 @@ def _fail(message, code):
 
 
 def _emit_json(payload):
-    print(dumps_indented(payload))
+    print(dumps_indented(payload).decode())
 
 
 def _resolve_budget(flag_value):
@@ -260,11 +259,13 @@ def _cmd_verify(args):
         n_values=n_values,
         budget=budget,
     )
-    text = report_json(report) if args.report or args.format == "json" else None
+    # the encoder's bytes go to the report file as they are, never held as text
+    data = dumps_indented(report) if args.report or args.format == "json" else None
     if args.report:
-        _write_text(args.report, text)
+        with open(args.report, "wb") as fh:
+            fh.writelines((data, b"\n"))
     if args.format == "json":
-        sys.stdout.write(text)
+        print(data.decode())
     else:
         sys.stdout.write(render_table(verdicts))
     if established_failures(verdicts):

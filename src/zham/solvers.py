@@ -15,8 +15,9 @@ fills.  One cycle search serves every kind and maps the ids it finds back
 to the host's vertices.  Strong connectivity grows reached-id masks along
 the same bitmask rows (a Tarjan walk over the tuple rows of a digraph
 above ``core.MASK_N``).  The matching searches walk a bipartite host's id
-rows, in which y_j is id n + j, and every prune reads the host's
-``degree_table``.
+rows, in which y_j is id n + j (``max_matching`` reads only its n x rows,
+decoded from their masks up to ``MASK_N``), and every prune reads the
+host's ``degree_table``.
 
 Every search keeps its own stack instead of recursing, so each works for
 any n.  ``extends_to_hamiltonian`` has no search of its own: it asks the
@@ -43,6 +44,7 @@ from .core import (
     GraphError,
     Matching,
     check_cycle,
+    mask_select,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -313,12 +315,14 @@ def max_matching(g: BipartiteGraph) -> Matching:
     """Maximum-cardinality matching via Hopcroft-Karp layered augmentation.
 
     Deterministic under the fixed vertex order (free x vertices and adjacency
-    are scanned ascending).  Walks the host's id rows, in which y_j is id
+    are scanned ascending).  Walks the host's x rows, in which y_j is id
     n + j: ``match_x[i]`` is the id of x_i's partner, ``match_y[n + j]``
-    that of y_j's, 0 while unmatched.
+    that of y_j's, 0 while unmatched.  Only the n x rows are read: the
+    filled tuple rows above ``MASK_N``, up to it each x's mask decoded here
+    once, so no tuple row is derived on the host.
     """
     n = g.n
-    rows = g.rows
+    rows = g.rows if n > MASK_N else [mask_select(range(2 * n + 1), m) for m in g.masks[: n + 1]]
     INF = n + 1
     match_x = [0] * (n + 1)
     match_y = [0] * (2 * n + 1)

@@ -12,8 +12,8 @@ kind/size order.
 
 The store checks each line against the schema's store-line shape when it
 loads.  Every indented JSON output (the report here, each payload of the
-CLI) is written by ``dumps_indented``, byte-identical to the stdlib's
-``json.dumps(..., sort_keys=True, indent=2)``.
+CLI) is written by ``dumps_indented`` as bytes, byte-identical to the
+stdlib's ``json.dumps(..., sort_keys=True, indent=2)`` encoded as ASCII.
 """
 
 from __future__ import annotations
@@ -156,8 +156,13 @@ class Claim:
     conclusion: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
+    """A claim's hypothesis holding on ``instance`` where its conclusion
+    fails.  The counterexamples of one ``run_suite`` sweep share their
+    details: each equal ``degrees`` dict, hypothesis or conclusion value and
+    details dict is one object, so ``details`` is read-only."""
+
     claim_id: str
     n: int
     instance: str
@@ -506,7 +511,8 @@ def run_suite(
     ``max_n`` of its type in ``core.KINDS``), or at most ``core.MASK_N`` in
     random mode; GraphError otherwise.  A claim id named twice is swept
     once.  Counterexamples are appended to ``store_path`` when given, in
-    (claim id, n, instance) order.  Returns ClaimVerdicts in request order.
+    (claim id, n, instance) order; equal details are one object (see
+    ``Counterexample``).  Returns ClaimVerdicts in request order.
     """
     if mode not in ("exhaustive", "random"):
         raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
@@ -525,6 +531,31 @@ def run_suite(
     outcomes = (HYPOTHESIS_MISS, PASS, COUNTEREXAMPLE, BUDGET_EXHAUSTED)
     counts = {c.claim_id: dict.fromkeys(outcomes, 0) for c in claims}
     found = {c.claim_id: [] for c in claims}
+    import orjson  # loaded on first use, as in dumps_indented
+
+    # key -> the sweep's one object: a hypothesis or conclusion value per its
+    # sort-keyed encoding, degrees per degree table, and details per (ids of
+    # those two, degree table), each id that of an object the sweep holds
+    shared = {}
+
+    def share(value):
+        """The one object JSON-equal to ``value``; a value orjson refuses
+        (an int past 64 bits, say) is not shared.  Details hold no floats,
+        the one JSON value orjson writes unlike the stdlib (NaN as null)."""
+        try:
+            key = orjson.dumps(value, option=orjson.OPT_SORT_KEYS)
+        except TypeError:
+            return value
+        return shared.setdefault(key, value)
+
+    def shared_details(details, instance):
+        """The details of a counterexample on ``instance``, with its degrees."""
+        hyp, concl = share(details["hypothesis"]), share(details["conclusion"])
+        table = instance.degree_table
+        if table not in shared:
+            shared[table] = _instance_degrees(instance)
+        made = {"hypothesis": hyp, "conclusion": concl, "degrees": shared[table]}
+        return shared.setdefault((id(hyp), id(concl), table), made)
 
     for kind, kind_claims in swept:
         for n in sizes:
@@ -533,12 +564,9 @@ def run_suite(
                     outcome, details = check_claim(claim, instance, budget)
                     counts[claim.claim_id][outcome] += 1
                     if outcome == COUNTEREXAMPLE:
-                        details = dict(details)
-                        details["degrees"] = _instance_degrees(instance)
+                        details = shared_details(details, instance)
                         found[claim.claim_id].append(
-                            Counterexample(
-                                claim.claim_id, n, serialize_graph(instance), details
-                            )
+                            Counterexample(claim.claim_id, n, serialize_graph(instance), details)
                         )
 
     verdicts = []
@@ -546,15 +574,9 @@ def run_suite(
         count = counts[claim.claim_id]
         scanned = sum(count.values())
         ces = tuple(sorted(found[claim.claim_id], key=lambda ce: (ce.n, ce.instance)))
+        hits = scanned - count[HYPOTHESIS_MISS]
         verdicts.append(
-            ClaimVerdict(
-                claim.claim_id,
-                scanned,
-                scanned - count[HYPOTHESIS_MISS],
-                count[PASS],
-                ces,
-                count[BUDGET_EXHAUSTED],
-            )
+            ClaimVerdict(claim.claim_id, scanned, hits, count[PASS], ces, count[BUDGET_EXHAUSTED])
         )
 
     if store_path is not None:
@@ -605,10 +627,12 @@ def build_report(verdicts, *, mode, seed=None, samples=None, n_values=(), budget
     }
 
 
-def dumps_indented(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte,
-    written by orjson's C encoder (the stdlib's indenting encoder is pure
-    Python).
+def dumps_indented(payload) -> bytes:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` encoded as ASCII,
+    byte for byte, written by orjson's C encoder (the stdlib's indenting
+    encoder is pure Python).  A caller that needs text decodes it; the CLI
+    writes the bytes to a report file as they are, so a large report is
+    never held as text too.
 
     The stdlib call runs instead when orjson refuses the payload (an int
     past 64 bits, a non-str key, a lone surrogate, nesting past 254 levels,
@@ -633,12 +657,12 @@ def dumps_indented(payload) -> str:
     except TypeError:
         out = None
     if out is None or not out.isascii() or b"\x7f" in out:
-        return json.dumps(payload, sort_keys=True, indent=2)
-    return out.decode()
+        return json.dumps(payload, sort_keys=True, indent=2).encode("ascii")
+    return out
 
 
 def report_json(report) -> str:
-    return dumps_indented(report) + "\n"
+    return dumps_indented(report).decode() + "\n"
 
 
 def render_table(verdicts) -> str:
@@ -653,18 +677,9 @@ def render_table(verdicts) -> str:
             status = "incomplete (budget)"
         else:
             status = "ok"
-        rows.append(
-            (
-                v.claim_id,
-                claim.instance_kind,
-                str(v.instances_scanned),
-                str(v.hypothesis_hits),
-                str(v.passes),
-                str(len(v.counterexamples)),
-                str(v.exhausted_budget),
-                status,
-            )
-        )
+        counts = [v.instances_scanned, v.hypothesis_hits, v.passes, len(v.counterexamples)]
+        counts.append(v.exhausted_budget)
+        rows.append((v.claim_id, claim.instance_kind, *map(str, counts), status))
     return align_columns(rows)
 
 

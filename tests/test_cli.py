@@ -444,13 +444,13 @@ class TestVerifyCommand:
 
     def test_report_file_and_json_stdout_are_one_encoding(self, tmp_path, monkeypatch, capsys):
         calls = []
-        real = verifier.report_json
+        real = verifier.dumps_indented
 
         def counting(report):
             calls.append(1)
             return real(report)
 
-        monkeypatch.setattr("zham.cli.report_json", counting)
+        monkeypatch.setattr("zham.cli.dumps_indented", counting)
         report = tmp_path / "report.json"
         args = ["verify", "--n-max", "2", "--format", "json", "--report", str(report)]
         assert main(args) == 0
@@ -562,6 +562,50 @@ def test_python_dash_m_runs_the_command_line(module):
     lines = done.stdout.splitlines()
     assert lines[0].split()[:3] == ["claim", "kind", "scanned"]
     assert len(lines) == 1 + len(CLAIMS)
+
+
+# sha256 of the report `zham verify` writes at its defaults
+DEFAULT_REPORT_SHA256 = "216c15eadd00bad5b912d1329c89b6f94c23c6ba94d7742c9fc1d7bca7deddcc"
+
+# runs `zham verify` as its own child and prints its exit code and peak RSS
+# in MB.  On Linux a process's ru_maxrss starts from the peak of the process
+# that spawned it (a vfork child takes its parent's across exec), so the
+# command is spawned from this small interpreter, not from the test process.
+DEFAULT_VERIFY = """\
+import resource, subprocess, sys
+
+argv = [sys.executable, "-m", "zham", "verify", "--report", sys.argv[1], "--store", sys.argv[2]]
+code = subprocess.run(argv, stdout=subprocess.DEVNULL).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+"""
+
+
+class TestDefaultVerify:
+    """``zham verify --report R --store S`` at its defaults, in a fresh
+    interpreter: 15 claims on every instance with n <= 4, 41,664
+    counterexamples and a 26.8 MB report.  The report is written as the
+    encoder's bytes and equal counterexample details are one object, so the
+    process peaks near 63 MB; holding the report as bytes and text at once,
+    with fresh details per counterexample, it peaked near 123 MB."""
+
+    PEAK_MB = 90
+    STORE_LINES = 41_664
+
+    def test_report_store_and_peak_memory(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        report, store = tmp_path / "report.json", tmp_path / "store.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-c", DEFAULT_VERIFY, str(report), str(store)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        code, peak_mb = done.stdout.split()
+        assert code == "0"
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == DEFAULT_REPORT_SHA256
+        assert store.read_bytes().count(b"\n") == self.STORE_LINES
+        assert float(peak_mb) < self.PEAK_MB
 
 
 # ---------------------------------------------------------------------------

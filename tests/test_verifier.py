@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import json
 import random
@@ -36,12 +37,14 @@ from zham.verifier import (
     COUNTEREXAMPLE,
     HYPOTHESIS_MISS,
     PASS,
+    Claim,
     _instance_degrees,
     arc_universe,
     dumps_indented,
     random_instance,
     render_table,
 )
+from zham._version import __version__
 from zham.core import MASK_N, format_bipartite_vertex
 
 C3 = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
@@ -348,6 +351,78 @@ class TestRunSuite:
         assert ces, "the pooled low-degree count claim is false at n=3"
 
 
+def _store_lines(verdicts, rng_seed=None):
+    """``json.dumps(record, sort_keys=True)`` of each store record of
+    ``verdicts``, in store order."""
+    return [
+        json.dumps(
+            {
+                "claim_id": ce.claim_id,
+                "n": ce.n,
+                "instance": ce.instance,
+                "details": ce.details,
+                "tool_version": __version__,
+                "rng_seed": rng_seed,
+            },
+            sort_keys=True,
+        )
+        for v in sorted(verdicts, key=lambda v: v.claim_id)
+        for ce in v.counterexamples
+    ]
+
+
+class TestSharedDetails:
+    """A sweep holds one object per distinct counterexample detail: details,
+    and their hypothesis, conclusion and degrees parts, that encode equal are
+    the same object, and they encode as fresh ones would."""
+
+    PARTS = {
+        "details": lambda d: d,
+        "hypothesis": lambda d: d["hypothesis"],
+        "conclusion": lambda d: d["conclusion"],
+        "degrees": lambda d: d["degrees"],
+    }
+
+    def test_equal_details_are_one_object(self, tmp_path):
+        store = tmp_path / "ce.jsonl"
+        verdicts = run_suite(["mm-k", "zhu"], [3], store_path=store)
+        ces = [ce for v in verdicts for ce in v.counterexamples]
+        for name, part in self.PARTS.items():
+            ids = {}
+            for ce in ces:
+                value = part(ce.details)
+                ids.setdefault(json.dumps(value, sort_keys=True), set()).add(id(value))
+            assert len(ids) < len(ces), name  # some counterexamples share it
+            assert all(len(held) == 1 for held in ids.values()), name
+        assert store.read_text(encoding="utf-8").splitlines() == _store_lines(verdicts)
+        report = build_report(verdicts, mode="exhaustive", n_values=[3])
+        assert report_json(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    def test_a_detail_orjson_refuses_is_not_shared(self, monkeypatch, tmp_path):
+        # an int past 64 bits has no orjson key: each counterexample keeps
+        # its own, and the degrees are still shared
+        def big(instance, budget):
+            return False, {"big": 2**70}
+
+        claim = Claim("big", "bipartite", False, "2**70", lambda g, budget: (True, {"n": g.n}), big)
+        monkeypatch.setitem(verifier.CLAIMS, "big", claim)
+        store = tmp_path / "ce.jsonl"
+        verdicts = run_suite(["big"], [1, 2], store_path=store)
+        ces = verdicts[0].counterexamples
+        assert len(ces) == 2 + 16
+        assert all(ce.details["conclusion"] == {"big": 2**70} for ce in ces)
+        assert len({id(ce.details["conclusion"]) for ce in ces}) == len(ces)
+        assert len({id(ce.details["hypothesis"]) for ce in ces}) == 2  # one per n
+        assert len({id(ce.details["degrees"]) for ce in ces}) < len(ces)
+        assert store.read_text(encoding="utf-8").splitlines() == _store_lines(verdicts)
+
+    def test_a_counterexample_is_slotted_and_frozen(self):
+        ce = Counterexample("mm-k", 3, "B 3\n", {})
+        assert not hasattr(ce, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ce.details = {"hypothesis": None}
+
+
 class TestStore:
     def test_persist_load_reverify(self, tmp_path):
         store_path = tmp_path / "ce.jsonl"
@@ -533,7 +608,7 @@ def _nested(depth, wrap):
 class TestDumpsIndented:
     @given(_PAYLOADS)
     def test_matches_the_stdlib_byte_for_byte(self, payload):
-        assert dumps_indented(payload) == _stdlib_indented(payload)
+        assert dumps_indented(payload).decode() == _stdlib_indented(payload)
 
     @pytest.mark.parametrize(
         "payload",
@@ -552,7 +627,7 @@ class TestDumpsIndented:
         ],
     )
     def test_matches_the_stdlib_on_pinned_cases(self, payload):
-        assert dumps_indented(payload) == _stdlib_indented(payload)
+        assert dumps_indented(payload).decode() == _stdlib_indented(payload)
 
     @pytest.mark.parametrize(
         "payload",
