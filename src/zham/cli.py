@@ -2,8 +2,8 @@
 
 Subcommands: zmap, unzmap, ham, bipham, gham, match, pm2, conditions,
 pullback, pushforward, verify.  Machine output is JSON with sorted keys,
-written by ``verifier.dumps_indented``; exit codes carry the pass/fail
-semantics:
+written by ``verifier.dumps_indented`` (the verify report chunk by chunk, by
+``verifier.indented_chunks``); exit codes carry the pass/fail semantics:
 
     0  decided (regardless of the boolean outcome)
     2  parse error (a file that is not UTF-8 included) or bad flags
@@ -28,6 +28,8 @@ test's stand-in, the benchmark tracer's wrapper) is the one the request uses.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import os
 import sys
 from functools import cache, partial
@@ -53,6 +55,7 @@ from .verifier import (
     disjoint_pair_json,
     dumps_indented,
     established_failures,
+    indented_chunks,
     pullback_halves,
     render_table,
     run_suite,
@@ -259,14 +262,15 @@ def _cmd_verify(args):
         n_values=n_values,
         budget=budget,
     )
-    # the encoder's bytes go to the report file as they are, never held as text
-    data = dumps_indented(report) if args.report or args.format == "json" else None
-    if args.report:
-        with open(args.report, "wb") as fh:
-            fh.writelines((data, b"\n"))
-    if args.format == "json":
-        print(data.decode())
-    else:
+    # the report is written chunk by chunk, to the file as bytes and to stdout
+    # as text, from the one encoding; neither holds the whole report
+    writes = [lambda chunk: sys.stdout.write(chunk.decode())] if args.format == "json" else []
+    with open(args.report, "wb") if args.report else contextlib.nullcontext() as fh:
+        writes += [fh.write] if fh else []
+        for chunk in itertools.chain(indented_chunks(report), [b"\n"]) if writes else ():
+            for write in writes:
+                write(chunk)
+    if args.format != "json":
         sys.stdout.write(render_table(verdicts))
     if established_failures(verdicts):
         return EXIT_ESTABLISHED

@@ -14,6 +14,10 @@ The store checks each line against the schema's store-line shape when it
 loads.  Every indented JSON output (the report here, each payload of the
 CLI) is written by ``dumps_indented`` as bytes, byte-identical to the
 stdlib's ``json.dumps(..., sort_keys=True, indent=2)`` encoded as ASCII.
+``indented_chunks`` yields the same bytes in chunks, one per counterexample
+entry of a report, with each shared details object encoded once, so
+``zham verify`` never holds its report whole; the store likewise encodes
+each distinct details object once.
 """
 
 from __future__ import annotations
@@ -580,11 +584,8 @@ def run_suite(
         )
 
     if store_path is not None:
-        by_id = sorted(verdicts, key=lambda v: v.claim_id)
-        CounterexampleStore(store_path).append(
-            [ce for v in by_id for ce in v.counterexamples],
-            rng_seed=seed if mode == "random" else None,
-        )
+        ces = (ce for v in sorted(verdicts, key=lambda v: v.claim_id) for ce in v.counterexamples)
+        CounterexampleStore(store_path).append(ces, rng_seed=seed if mode == "random" else None)
     return verdicts
 
 
@@ -645,13 +646,8 @@ def dumps_indented(payload) -> bytes:
     """
     import orjson
 
-    options = (
-        orjson.OPT_INDENT_2
-        | orjson.OPT_SORT_KEYS
-        | orjson.OPT_PASSTHROUGH_DATACLASS
-        | orjson.OPT_PASSTHROUGH_DATETIME
-        | orjson.OPT_PASSTHROUGH_SUBCLASS
-    )
+    options = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+    options |= orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS
     try:
         out = orjson.dumps(payload, option=options)
     except TypeError:
@@ -659,6 +655,59 @@ def dumps_indented(payload) -> bytes:
     if out is None or not out.isascii() or b"\x7f" in out:
         return json.dumps(payload, sort_keys=True, indent=2).encode("ascii")
     return out
+
+
+# the depth of the values ``indented_chunks`` writes one chunk each: in a
+# report, one counterexample entry (report, claims, claim, counterexamples)
+_CHUNK_DEPTH = 4
+
+
+def indented_chunks(payload):
+    """``dumps_indented(payload)`` as an iterator of byte chunks, whose join
+    is that encoding.  Lists and str-keyed dicts above ``_CHUNK_DEPTH`` are
+    split around their members, and each value at that depth (a report's
+    counterexample entry) is one chunk.  Each value's and key's text is
+    ``dumps_indented``'s, re-indented to its depth, between the brackets,
+    commas and indents of its layout: JSON text holds a raw newline only
+    between values, so the pieces match the whole encoding byte for byte.
+    A list or dict inside a chunk is encoded once per object (the payload
+    holds each, so its id is its own): a sweep's shared details are
+    encoded once, and the report is never held whole."""
+    texts = {}  # id -> text of a dict key, or of a list or dict inside a chunk
+
+    def text(value, depth, shared=False):
+        """``value``'s text at ``depth``; a ``shared`` one is encoded once."""
+        if shared and id(value) in texts:
+            return texts[id(value)]
+        encoded = dumps_indented(value).replace(b"\n", b"\n" + b"  " * depth)
+        return texts.setdefault(id(value), encoded) if shared else encoded
+
+    def pieces(value, depth):
+        """``value``'s text at ``depth`` in pieces, each member of a split
+        list or str-keyed dict no deeper than a chunk as (member, depth)."""
+        is_list = type(value) is list
+        if not (is_list or type(value) is dict and all(type(k) is str for k in value)) or not value:
+            yield text(value, depth)
+            return
+        lead = b"\n" + b"  " * (depth + 1)
+        for i, key in enumerate(range(len(value)) if is_list else sorted(value)):
+            named = b"" if is_list else text(key, 0, True) + b": "
+            yield (b"," if i else b"[" if is_list else b"{") + lead + named
+            member, shared = value[key], type(value[key]) in (dict, list)
+            yield (member, depth + 1) if depth < _CHUNK_DEPTH else text(member, depth + 1, shared)
+        yield lead[:-2] + (b"]" if is_list else b"}")
+
+    stack = [pieces(payload, 0)]  # the pieces of each list or dict being split
+    while stack:
+        piece = next(stack[-1], None)
+        if piece is None:
+            stack.pop()
+        elif type(piece) is bytes:
+            yield piece
+        elif piece[1] < _CHUNK_DEPTH:
+            stack.append(pieces(*piece))
+        else:
+            yield b"".join(pieces(*piece))
 
 
 def report_json(report) -> str:
@@ -698,11 +747,6 @@ class StoreError(Exception):
     """The JSON-lines counterexample store could not be read or written."""
 
 
-# the encoder of every store line: ``json.dumps(record, sort_keys=True)``,
-# built once rather than per line
-_STORE_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 class CounterexampleStore:
     """Append-only JSON-lines store, one counterexample object per line."""
 
@@ -710,18 +754,19 @@ class CounterexampleStore:
         self.path = Path(path)
 
     def append(self, counterexamples, rng_seed=None):
+        """Append a line per counterexample: ``json.dumps(record,
+        sort_keys=True)`` of its record, whose keys are those of
+        ``_STORE_LINE`` in sorted order.  Each details object is encoded once
+        and its text written into every line that holds it."""
+        encode, texts = json.JSONEncoder(sort_keys=True).encode, {}  # id -> (details, text)
+        tail = f', "rng_seed": {encode(rng_seed)}, "tool_version": {encode(__version__)}}}\n'
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
                 for ce in counterexamples:
-                    record = {
-                        "claim_id": ce.claim_id,
-                        "n": ce.n,
-                        "instance": ce.instance,
-                        "details": ce.details,
-                        "tool_version": __version__,
-                        "rng_seed": rng_seed,
-                    }
-                    fh.write(_STORE_ENCODER.encode(record) + "\n")
+                    d = ce.details  # held in ``texts``, so its id stays its own
+                    held = texts.get(id(d)) or texts.setdefault(id(d), (d, encode(d)))
+                    fh.write(f'{{"claim_id": {encode(ce.claim_id)}, "details": {held[1]}, '
+                             f'"instance": {encode(ce.instance)}, "n": {encode(ce.n)}{tail}')
         except OSError as exc:
             raise StoreError(f"cannot append to store {self.path}: {exc}") from exc
 

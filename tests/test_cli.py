@@ -444,13 +444,13 @@ class TestVerifyCommand:
 
     def test_report_file_and_json_stdout_are_one_encoding(self, tmp_path, monkeypatch, capsys):
         calls = []
-        real = verifier.dumps_indented
+        real = verifier.indented_chunks
 
         def counting(report):
             calls.append(1)
             return real(report)
 
-        monkeypatch.setattr("zham.cli.dumps_indented", counting)
+        monkeypatch.setattr("zham.cli.indented_chunks", counting)
         report = tmp_path / "report.json"
         args = ["verify", "--n-max", "2", "--format", "json", "--report", str(report)]
         assert main(args) == 0
@@ -583,12 +583,13 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
 class TestDefaultVerify:
     """``zham verify --report R --store S`` at its defaults, in a fresh
     interpreter: 15 claims on every instance with n <= 4, 41,664
-    counterexamples and a 26.8 MB report.  The report is written as the
-    encoder's bytes and equal counterexample details are one object, so the
-    process peaks near 63 MB; holding the report as bytes and text at once,
-    with fresh details per counterexample, it peaked near 123 MB."""
+    counterexamples and a 26.8 MB report.  The report is written chunk by
+    chunk, each shared details object encoded once, so the process peaks
+    near 42 MB; writing the whole report as one bytes buffer it peaked near
+    63 MB, and holding it as bytes and text at once, with fresh details per
+    counterexample, near 123 MB."""
 
-    PEAK_MB = 90
+    PEAK_MB = 55
     STORE_LINES = 41_664
 
     def test_report_store_and_peak_memory(self, tmp_path):

@@ -41,6 +41,7 @@ from zham.verifier import (
     _instance_degrees,
     arc_universe,
     dumps_indented,
+    indented_chunks,
     random_instance,
     render_table,
 )
@@ -424,6 +425,38 @@ class TestSharedDetails:
 
 
 class TestStore:
+    def test_each_line_is_the_stdlib_encoding_of_its_record(self, tmp_path):
+        shared = {"hypothesis": {"holding_k": [2]}, "conclusion": {"hamiltonian": False}}
+        refused = {"conclusion": {"big": 2**70}, "note": "\u00e9\x7f"}  # orjson refuses 2**70
+        ces = [
+            Counterexample("mm-k", 3, "B 3\n1 1\n", shared),
+            Counterexample("zhu", 4, "D 4\n1 2\n", refused),
+            Counterexample("mm-k", 3, "B 3\n2 2\n", shared),
+        ]
+        # fresh details per record, each dropped by its maker once written:
+        # a text kept per id must not be read for a later record at that id
+        fresh = (Counterexample("cor1", 2, f"D 2\n{i}", {"i": [i]}) for i in range(1, 200))
+        store = tmp_path / "ce.jsonl"
+        CounterexampleStore(store).append(ces, rng_seed=7)
+        CounterexampleStore(store).append(fresh)
+        records = [(ce, 7) for ce in ces]
+        records += [(Counterexample("cor1", 2, f"D 2\n{i}", {"i": [i]}), None) for i in range(1, 200)]
+        expected = [
+            json.dumps(
+                {
+                    "claim_id": ce.claim_id,
+                    "n": ce.n,
+                    "instance": ce.instance,
+                    "details": ce.details,
+                    "tool_version": __version__,
+                    "rng_seed": seed,
+                },
+                sort_keys=True,
+            )
+            for ce, seed in records
+        ]
+        assert store.read_text(encoding="utf-8").splitlines() == expected
+
     def test_persist_load_reverify(self, tmp_path):
         store_path = tmp_path / "ce.jsonl"
         run_suite(["mm-k"], [3], store_path=store_path)
@@ -650,3 +683,75 @@ class TestDumpsIndented:
 
         monkeypatch.setattr(json, "dumps", refuse)
         assert report_json(report) == expected
+
+
+def _report_shaped(details, descriptions, picks):
+    """A report-shaped payload whose counterexample entries share the
+    ``details`` objects, each entry holding ``details[i]`` for i in
+    ``picks``; its claims are described by ``descriptions``."""
+    claims = [
+        {
+            "claim_id": f"c{c}",
+            "description": description,
+            "counterexamples": [
+                {"details": details[i % len(details)], "instance": f"D {i}\n", "n": i}
+                for i in picks
+            ],
+        }
+        for c, description in enumerate(descriptions)
+    ]
+    return {"budget": 2**64, "claims": claims, "mode": "exhaustive", "n_values": []}
+
+
+class TestIndentedChunks:
+    """The joined chunks of ``indented_chunks`` are ``dumps_indented``'s bytes."""
+
+    @given(_PAYLOADS, st.integers(0, 7), st.booleans())
+    def test_joined_chunks_match_the_whole_encoding(self, payload, depth, in_dicts):
+        # the payload nested at each depth around the chunk depth
+        for _ in range(depth):
+            payload = {"k": payload} if in_dicts else [payload]
+        assert b"".join(indented_chunks(payload)) == dumps_indented(payload)
+
+    @given(
+        st.lists(_PAYLOADS, min_size=1, max_size=3),
+        st.lists(_TEXT | st.just('says "counterexamples": [] here'), max_size=3),
+        st.lists(st.integers(0, 5), max_size=6),
+    )
+    def test_shared_details_in_a_report_shape(self, details, descriptions, picks):
+        payload = _report_shaped(details, descriptions, picks)
+        assert b"".join(indented_chunks(payload)) == dumps_indented(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(2**64, id="2**64"),
+            pytest.param([[[[[{"big": 2**70}]]]]], id="2**70-inside-a-chunk"),
+            pytest.param({1: "a", 2: ["b"]}, id="int-keys"),
+            pytest.param([[[{1: [{"x": 1}]}]]], id="int-keys-above-the-chunk-depth"),
+            pytest.param(_nested(300, lambda p: [p]), id="300-nested-lists"),
+            pytest.param(_nested(300, lambda p: {"k": p}), id="300-nested-dicts"),
+            pytest.param([[[["é", {"é": "\x7f"}]]]], id="non-ascii-and-DEL"),
+            pytest.param({"a": {}, "b": [], "c": [[]], "d": [[[[[]]]]]}, id="empty-containers"),
+            pytest.param(
+                _report_shaped([{"k": [1]}], ['"counterexamples": []'], [0, 1]),
+                id="marker-in-description",
+            ),
+        ],
+    )
+    def test_pinned_cases(self, payload):
+        assert b"".join(indented_chunks(payload)) == dumps_indented(payload)
+
+    @pytest.mark.parametrize("shared", [{"k": [1, {"deep": "x"}]}, {1: [2, 3]}], ids=repr)
+    def test_one_object_at_two_depths(self, shared):
+        # above, at and inside the chunk depth; an int-keyed dict is never split
+        payload = [shared, [[[{"in": shared}, {"in": shared}]]], [[[[shared]]]]]
+        assert b"".join(indented_chunks(payload)) == dumps_indented(payload)
+
+    def test_the_report_is_one_chunk_per_counterexample(self):
+        verdicts = run_suite(["mm-k", "zhu"], [3])
+        report = build_report(verdicts, mode="exhaustive", n_values=[3])
+        chunks = list(indented_chunks(report))
+        assert b"".join(chunks) + b"\n" == report_json(report).encode()
+        entries = sum(len(v.counterexamples) for v in verdicts)
+        assert entries < len(chunks) < 3 * entries
