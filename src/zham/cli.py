@@ -10,7 +10,7 @@ written by ``verifier.dumps_indented`` (the verify report chunk by chunk, by
     3  validation error (a header size above ``fileio.MAX_HEADER_N`` included)
     4  search budget exhausted
     5  an established claim produced a counterexample (verify only)
-    6  store or output I/O failure
+    6  store or output I/O failure (verify checks --report before it sweeps)
 
 The ``ZHAM_BUDGET`` environment variable overrides the default node budget
 wherever ``--budget`` is not given; a budget below 0 from either is a parse
@@ -227,6 +227,15 @@ def _pushforward_matching(d, witness):
     }
 
 
+def _writable(path):
+    """Whether ``path`` can be opened for writing, checked without creating
+    or truncating it: an existing file must be writable, a new one's
+    directory must exist and be writable."""
+    if path.exists():
+        return not path.is_dir() and os.access(path, os.W_OK)
+    return path.parent.is_dir() and os.access(path.parent, os.W_OK | os.X_OK)
+
+
 def _cmd_verify(args):
     if args.claims in (None, "", "all"):
         claim_ids = None
@@ -243,25 +252,13 @@ def _cmd_verify(args):
     if args.mode == "random" and args.samples < 1:
         return _fail("--samples must be positive in random mode", EXIT_PARSE)
     budget = _resolve_budget(args.budget)
+    if args.report and not _writable(Path(args.report)):
+        return _fail(f"cannot write report {args.report}", EXIT_STORE)
     n_values = range(args.n_min, args.n_max + 1)
 
-    verdicts = run_suite(
-        claim_ids,
-        n_values,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        store_path=args.store,
-        budget=budget,
-    )
-    report = build_report(
-        verdicts,
-        mode=args.mode,
-        seed=args.seed,
-        samples=args.samples,
-        n_values=n_values,
-        budget=budget,
-    )
+    options = {"mode": args.mode, "seed": args.seed, "samples": args.samples, "budget": budget}
+    verdicts = run_suite(claim_ids, n_values, store_path=args.store, **options)
+    report = build_report(verdicts, n_values=n_values, **options)
     # the report is written chunk by chunk, to the file as bytes and to stdout
     # as text, from the one encoding; neither holds the whole report
     writes = [lambda chunk: sys.stdout.write(chunk.decode())] if args.format == "json" else []

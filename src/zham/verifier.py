@@ -15,9 +15,8 @@ loads.  Every indented JSON output (the report here, each payload of the
 CLI) is written by ``dumps_indented`` as bytes, byte-identical to the
 stdlib's ``json.dumps(..., sort_keys=True, indent=2)`` encoded as ASCII.
 ``indented_chunks`` yields the same bytes in chunks, one per counterexample
-entry of a report, with each shared details object encoded once, so
-``zham verify`` never holds its report whole; the store likewise encodes
-each distinct details object once.
+entry of a report, so ``zham verify`` never holds its report whole; the
+store encodes each distinct details object once.
 """
 
 from __future__ import annotations
@@ -665,36 +664,29 @@ _CHUNK_DEPTH = 4
 def indented_chunks(payload):
     """``dumps_indented(payload)`` as an iterator of byte chunks, whose join
     is that encoding.  Lists and str-keyed dicts above ``_CHUNK_DEPTH`` are
-    split around their members, and each value at that depth (a report's
-    counterexample entry) is one chunk.  Each value's and key's text is
-    ``dumps_indented``'s, re-indented to its depth, between the brackets,
-    commas and indents of its layout: JSON text holds a raw newline only
-    between values, so the pieces match the whole encoding byte for byte.
-    A list or dict inside a chunk is encoded once per object (the payload
-    holds each, so its id is its own): a sweep's shared details are
-    encoded once, and the report is never held whole."""
-    texts = {}  # id -> text of a dict key, or of a list or dict inside a chunk
-
-    def text(value, depth, shared=False):
-        """``value``'s text at ``depth``; a ``shared`` one is encoded once."""
-        if shared and id(value) in texts:
-            return texts[id(value)]
-        encoded = dumps_indented(value).replace(b"\n", b"\n" + b"  " * depth)
-        return texts.setdefault(id(value), encoded) if shared else encoded
+    split around their members.  Each value at that depth (a report's
+    counterexample entry) is one ``dumps_indented`` call, re-indented to its
+    depth and yielded in one chunk with the bracket or comma and indent
+    before it.  JSON text holds a raw newline only between values, so the
+    pieces match the whole encoding byte for byte, and the report is never
+    held whole."""
 
     def pieces(value, depth):
         """``value``'s text at ``depth`` in pieces, each member of a split
-        list or str-keyed dict no deeper than a chunk as (member, depth)."""
+        list or str-keyed dict above the chunk depth as (member, depth)."""
         is_list = type(value) is list
         if not (is_list or type(value) is dict and all(type(k) is str for k in value)) or not value:
-            yield text(value, depth)
+            yield dumps_indented(value).replace(b"\n", b"\n" + b"  " * depth)
             return
-        lead = b"\n" + b"  " * (depth + 1)
+        lead = b"\n" + b"  " * (depth + 1)  # before each member and a chunk's lines
         for i, key in enumerate(range(len(value)) if is_list else sorted(value)):
-            named = b"" if is_list else text(key, 0, True) + b": "
-            yield (b"," if i else b"[" if is_list else b"{") + lead + named
-            member, shared = value[key], type(value[key]) in (dict, list)
-            yield (member, depth + 1) if depth < _CHUNK_DEPTH else text(member, depth + 1, shared)
+            named = b"" if is_list else dumps_indented(key) + b": "
+            head = (b"," if i else b"[" if is_list else b"{") + lead + named
+            if depth + 1 < _CHUNK_DEPTH:
+                yield head
+                yield value[key], depth + 1
+            else:
+                yield head + dumps_indented(value[key]).replace(b"\n", lead)
         yield lead[:-2] + (b"]" if is_list else b"}")
 
     stack = [pieces(payload, 0)]  # the pieces of each list or dict being split
@@ -704,10 +696,8 @@ def indented_chunks(payload):
             stack.pop()
         elif type(piece) is bytes:
             yield piece
-        elif piece[1] < _CHUNK_DEPTH:
-            stack.append(pieces(*piece))
         else:
-            yield b"".join(pieces(*piece))
+            stack.append(pieces(*piece))
 
 
 def report_json(report) -> str:
@@ -776,7 +766,9 @@ class CounterexampleStore:
         except (OSError, UnicodeDecodeError) as exc:
             raise StoreError(f"cannot read store {self.path}: {exc}") from exc
         records = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        # JSON lines end at "\n" only: a string may hold a raw U+2028 or
+        # U+0085, which ``str.splitlines`` would also split on
+        for line_no, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             try:

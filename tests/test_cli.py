@@ -418,6 +418,25 @@ class TestVerifyCommand:
             == 6
         )
 
+    def test_unwritable_report_exits_6_before_sweeping(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the report path was checked")
+
+        monkeypatch.setattr("zham.cli.run_suite", no_sweep)
+        store = tmp_path / "store.jsonl"
+        for report in (tmp_path / "no" / "such" / "dir" / "r.json", tmp_path):
+            assert main(["verify", "--report", str(report), "--store", str(store)]) == 6
+            assert capsys.readouterr().err == f"error: cannot write report {report}\n"
+        assert not store.exists()
+
+    def test_the_report_check_leaves_an_earlier_report_whole(self, tmp_path):
+        # a size-cap refusal after the check must not have truncated the file
+        report = tmp_path / "report.json"
+        report.write_text("earlier\n")
+        args = ["verify", "--claims", "thm-gz", "--n-max", "6", "--report", str(report)]
+        assert main(args) == 3
+        assert report.read_text() == "earlier\n"
+
     def test_established_counterexample_exits_5(self, monkeypatch, capsys):
         real = CLAIMS["thm-gz"]
 
@@ -584,12 +603,12 @@ class TestDefaultVerify:
     """``zham verify --report R --store S`` at its defaults, in a fresh
     interpreter: 15 claims on every instance with n <= 4, 41,664
     counterexamples and a 26.8 MB report.  The report is written chunk by
-    chunk, each shared details object encoded once, so the process peaks
-    near 42 MB; writing the whole report as one bytes buffer it peaked near
-    63 MB, and holding it as bytes and text at once, with fresh details per
+    chunk, one per counterexample entry, so the process peaks near 39 MB;
+    writing the whole report as one bytes buffer it peaked near 63 MB, and
+    holding it as bytes and text at once, with fresh details per
     counterexample, near 123 MB."""
 
-    PEAK_MB = 55
+    PEAK_MB = 50
     STORE_LINES = 41_664
 
     def test_report_store_and_peak_memory(self, tmp_path):

@@ -664,6 +664,14 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
     assert sorted(code_lines(COUNTED)) == [4, 9, 11, 12, 13, 14, 17, 20]
 
 
+# the code lines of src/zham as ``module_code_lines`` counts them; a change
+# that adds code raises this in its own diff, one that removes code lowers it
+CODE_LINE_BUDGET = 1_896
+
+
+def test_code_lines_within_budget():
+    assert sum(module_code_lines().values()) <= CODE_LINE_BUDGET
+
 if __name__ == "__main__":
     counts = module_code_lines()
     for name, count in counts.items():

@@ -424,6 +424,13 @@ class TestSharedDetails:
             ce.details = {"hypothesis": None}
 
 
+# a store line of the storeLine shape
+_GOOD_LINE = {
+    "claim_id": "mm-k", "n": 3, "instance": "B 3\n", "details": {},
+    "tool_version": "0.1.0", "rng_seed": None,
+}
+
+
 class TestStore:
     def test_each_line_is_the_stdlib_encoding_of_its_record(self, tmp_path):
         shared = {"hypothesis": {"holding_k": [2]}, "conclusion": {"hamiltonian": False}}
@@ -485,6 +492,37 @@ class TestStore:
         with pytest.raises(StoreError):
             store.append([Counterexample("mm-k", 3, "B 3\n", {})])
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=ascii)
+    def test_a_raw_unicode_line_separator_in_a_string_loads(self, tmp_path, char):
+        # JSON lines end at "\n" only; str.splitlines also splits on these
+        records = [{**_GOOD_LINE, "details": {"note": f"a{char}b"}}, _GOOD_LINE]
+        path = tmp_path / "ce.jsonl"
+        path.write_text(
+            "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records),
+            encoding="utf-8",
+        )
+        assert char in path.read_text(encoding="utf-8")
+        assert CounterexampleStore(path).load() == records
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e"], ids=ascii)
+    def test_a_control_separator_is_refused_on_its_own_line(self, tmp_path, char):
+        # the encoder escapes it; held raw in a string it is not JSON, and the
+        # error names the line that holds it, not a part of that line
+        escaped = {**_GOOD_LINE, "details": {"note": f"a{char}b"}}
+        path = tmp_path / "ce.jsonl"
+        path.write_text(json.dumps(escaped, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert CounterexampleStore(path).load() == [escaped]
+        raw = json.dumps(_GOOD_LINE).replace('"B 3\\n"', f'"B 3{char}"')
+        path.write_text(json.dumps(_GOOD_LINE) + "\n" + raw + "\n", encoding="utf-8")
+        with pytest.raises(StoreError, match="bad store line 2: Invalid control character"):
+            CounterexampleStore(path).load()
+
+    def test_a_crlf_store_loads(self, tmp_path):
+        records = [_GOOD_LINE, {**_GOOD_LINE, "n": 4}]
+        path = tmp_path / "ce.jsonl"
+        path.write_bytes(b"".join(json.dumps(r).encode() + b"\r\n" for r in records))
+        assert CounterexampleStore(path).load() == records
+
     def test_non_utf8_store_is_a_store_error(self, tmp_path):
         path = tmp_path / "ce.jsonl"
         path.write_bytes(b"\xff\xfe{}\n")
@@ -526,12 +564,9 @@ class TestStore:
         ],
     )
     def test_field_of_the_wrong_type_is_a_store_error(self, tmp_path, key, value, problem):
-        good = {
-            "claim_id": "mm-k", "n": 3, "instance": "B 3\n", "details": {},
-            "tool_version": "0.1.0", "rng_seed": None,
-        }
         path = tmp_path / "ce.jsonl"
-        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
+        lines = [_GOOD_LINE, {**_GOOD_LINE, key: value}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
         with pytest.raises(StoreError, match=f"bad store line 2: {problem}"):
             CounterexampleStore(path).load()
 
@@ -753,5 +788,13 @@ class TestIndentedChunks:
         report = build_report(verdicts, mode="exhaustive", n_values=[3])
         chunks = list(indented_chunks(report))
         assert b"".join(chunks) + b"\n" == report_json(report).encode()
-        entries = sum(len(v.counterexamples) for v in verdicts)
-        assert entries < len(chunks) < 3 * entries
+        # each entry is one chunk: its bracket or comma, the indent of depth
+        # 4 and the entry's own encoding re-indented to that depth
+        lead = b"\n" + b" " * 8
+        expected = [
+            (b"," if i else b"[") + lead + dumps_indented(entry).replace(b"\n", lead)
+            for claim in report["claims"]
+            for i, entry in enumerate(claim["counterexamples"])
+        ]
+        assert len(expected) == sum(len(v.counterexamples) for v in verdicts) > 0
+        assert [c for c in chunks if c.startswith((b"[" + lead, b"," + lead))] == expected
