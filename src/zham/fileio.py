@@ -37,7 +37,10 @@ class ParseError(ValueError):
 
 
 def _content_lines(text):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" only: a comment may hold a raw U+2028 or U+0085,
+    # which ``str.splitlines`` would also split on; a CRLF line's "\r" is
+    # stripped with its other whitespace
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -2,6 +2,10 @@
 registered hypothesis -> conclusion implication against the exact solvers,
 and persist counterexamples to an append-only JSON-lines store.
 
+``build_claims`` declares the claims, one row per claim: its id, whether it
+is established, hypothesis, conclusion and description.  ``CLAIMS``,
+``ESTABLISHED_CLAIM_IDS`` and the README's claim table are derived from it.
+
 Established claims (classical results) must show zero counterexamples at any
 tested scale — one appearing means the artifact itself is broken.  The other
 claims are *adjudicated*: the sweep reports whatever it finds, and their
@@ -341,11 +345,17 @@ def _lv_conclusion(g, budget):
 
 
 def build_claims() -> dict:
-    """The claim registry, keyed and ordered by claim id.
+    """The claim registry, keyed and ordered by claim id, built from one row
+    per claim: its id, whether it is established, hypothesis, conclusion and
+    description.
 
-    A condition claim takes its hypothesis predicate and instance kind from
-    ``conditions.build_registry``.  The predicates and solvers are bound
-    when this runs, so a rebuilt registry picks up any rebound since import.
+    A hypothesis is a condition id or a digraph hypothesis function.  A
+    condition claim takes its instance kind and predicate from
+    ``conditions.build_registry`` and tests the predicate with
+    ``_condition_hypothesis``, or with the wrapper paired with its id.  A
+    row with no conclusion concludes "the instance is Hamiltonian", decided
+    by its kind's solver.  The predicates and solvers are bound when this
+    runs, so a rebuilt registry picks up any rebound since import.
     """
     registry = build_registry()
     ham = {
@@ -354,97 +364,49 @@ def build_claims() -> dict:
         "graph": _ham_conclusion(find_hamiltonian_cycle_undirected),
     }
     two_cycles = _disjoint_pair_conclusion(find_two_disjoint_hamiltonian_cycles)
-
-    def on(condition_id, claim_id, established, description, conclusion=None, hypothesis=None):
-        """Claim ``claim_id``, whose hypothesis is condition ``condition_id``
-        (``_condition_hypothesis`` unless ``hypothesis`` is given); its
-        conclusion defaults to "the instance is Hamiltonian"."""
-        kind, predicate = registry[condition_id]
-        hypothesis = (hypothesis or _condition_hypothesis)(predicate)
-        return Claim(
+    rows = (
+        ("thm-zg", False, _thm_zg_hypothesis, None,
+         "strong and bipartite image Hamiltonian => digraph Hamiltonian"),
+        ("thm-gz", True, _thm_gz_hypothesis, _thm_gz_conclusion,
+         "digraph Hamiltonian => bipartite image has a perfect matching"),
+        ("thm-zg-pullback", False, _pullback_hypothesis, _pullback_conclusion,
+         "bipartite image Hamiltonian => both pullback halves are spanning cycle factors"),
+        ("dirac", True, "dirac", None, "dirac degree bound => graph Hamiltonian"),
+        ("ghouila", True, "ghouila-houri", None,
+         "ghouila-houri degree bound => digraph Hamiltonian"),
+        ("faudree", False, "faudree", None, "faudree low-degree count => graph Hamiltonian"),
+        ("zhu", False, "zhu", None, "digraph low-degree count => digraph Hamiltonian"),
+        ("mm-k", False, ("moon-moser-k", _mm_k_hypothesis), None,
+         "some admissible k passes the moon-moser-k count => bipartite Hamiltonian"),
+        ("mm-half", True, "moon-moser-half", None,
+         "moon-moser half-degree bound => bipartite Hamiltonian"),
+        ("cor1", False, "cor1-disjoint-hc", two_cycles,
+         "half-degree in/out bounds => two arc-disjoint Hamiltonian cycles"),
+        ("lv", True, "las-vergnas", _lv_conclusion,
+         "las-vergnas pair bound => every perfect matching extends to a Hamiltonian cycle"),
+        ("woodall", True, "woodall", None, "woodall pair bound => digraph Hamiltonian"),
+        ("cor2", False, "cor2-woodall-plus2", two_cycles,
+         "woodall pair bound plus two => two arc-disjoint Hamiltonian cycles"),
+        ("cor3a", False, "cor3-ore-pm", _perfect_matching_conclusion,
+         "ore pair bound (n) => perfect matching exists"),
+        ("cor3b", False, "cor3-ore-2pm",
+         _disjoint_pair_conclusion(find_two_disjoint_perfect_matchings),
+         "ore pair bound (n+2) => two edge-disjoint perfect matchings"),
+    )
+    claims = {}
+    for claim_id, established, hypothesis, conclusion, description in rows:
+        if callable(hypothesis):
+            kind = "digraph"
+        else:
+            condition_id, wrap = (
+                hypothesis if type(hypothesis) is tuple else (hypothesis, _condition_hypothesis)
+            )
+            kind, predicate = registry[condition_id]
+            hypothesis = wrap(predicate)
+        claims[claim_id] = Claim(
             claim_id, kind, established, description, hypothesis, conclusion or ham[kind]
         )
-
-    claims = [
-        Claim(
-            "thm-zg",
-            "digraph",
-            False,
-            "strong and bipartite image Hamiltonian => digraph Hamiltonian",
-            _thm_zg_hypothesis,
-            ham["digraph"],
-        ),
-        Claim(
-            "thm-gz",
-            "digraph",
-            True,
-            "digraph Hamiltonian => bipartite image has a perfect matching",
-            _thm_gz_hypothesis,
-            _thm_gz_conclusion,
-        ),
-        Claim(
-            "thm-zg-pullback",
-            "digraph",
-            False,
-            "bipartite image Hamiltonian => both pullback halves are spanning cycle factors",
-            _pullback_hypothesis,
-            _pullback_conclusion,
-        ),
-        on("dirac", "dirac", True, "dirac degree bound => graph Hamiltonian"),
-        on("ghouila-houri", "ghouila", True, "ghouila-houri degree bound => digraph Hamiltonian"),
-        on("faudree", "faudree", False, "faudree low-degree count => graph Hamiltonian"),
-        on("zhu", "zhu", False, "digraph low-degree count => digraph Hamiltonian"),
-        on(
-            "moon-moser-k",
-            "mm-k",
-            False,
-            "some admissible k passes the moon-moser-k count => bipartite Hamiltonian",
-            hypothesis=_mm_k_hypothesis,
-        ),
-        on(
-            "moon-moser-half",
-            "mm-half",
-            True,
-            "moon-moser half-degree bound => bipartite Hamiltonian",
-        ),
-        on(
-            "cor1-disjoint-hc",
-            "cor1",
-            False,
-            "half-degree in/out bounds => two arc-disjoint Hamiltonian cycles",
-            two_cycles,
-        ),
-        on(
-            "las-vergnas",
-            "lv",
-            True,
-            "las-vergnas pair bound => every perfect matching extends to a Hamiltonian cycle",
-            _lv_conclusion,
-        ),
-        on("woodall", "woodall", True, "woodall pair bound => digraph Hamiltonian"),
-        on(
-            "cor2-woodall-plus2",
-            "cor2",
-            False,
-            "woodall pair bound plus two => two arc-disjoint Hamiltonian cycles",
-            two_cycles,
-        ),
-        on(
-            "cor3-ore-pm",
-            "cor3a",
-            False,
-            "ore pair bound (n) => perfect matching exists",
-            _perfect_matching_conclusion,
-        ),
-        on(
-            "cor3-ore-2pm",
-            "cor3b",
-            False,
-            "ore pair bound (n+2) => two edge-disjoint perfect matchings",
-            _disjoint_pair_conclusion(find_two_disjoint_perfect_matchings),
-        ),
-    ]
-    return {c.claim_id: c for c in claims}
+    return claims
 
 
 CLAIMS = build_claims()

@@ -43,6 +43,25 @@ class TestParse:
         text = "# a triangle\n\nD 3\n# first arc\n1 2\n2 3\n\n3 1\n"
         assert parse_graph_text(text) == parse_graph_text(C3_TEXT)
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=ascii)
+    def test_a_unicode_line_separator_stays_inside_its_comment(self, char):
+        # lines end at "\n" only: the comment keeps its tail, and the lines
+        # after it keep their numbers
+        text = f"D 2\n# note{char} 3 4\n1 2\n"
+        assert parse_graph_text(text) == parse_graph_text("D 2\n1 2\n")
+        with pytest.raises(VertexRangeError) as exc:
+            parse_graph_text(text + "1 5\n")
+        assert str(exc.value) == "vertex 5 out of range 1..2 at line 4"
+        with pytest.raises(ParseError) as exc:
+            parse_graph_text(f"D 2\n# note{char}x\n1\n")
+        assert exc.value.line_no == 3
+
+    def test_crlf_line_ends_parse(self):
+        assert parse_graph_text(C3_TEXT.replace("\n", "\r\n")) == parse_graph_text(C3_TEXT)
+        with pytest.raises(VertexRangeError) as exc:
+            parse_graph_text("D 3\r\n# note\r\n1 4\r\n")
+        assert str(exc.value) == "vertex 4 out of range 1..3 at line 3"
+
     def test_bipartite_diagonal_edge_is_legal_in_files(self):
         g = parse_graph_text("B 2\n1 1\n")
         assert g.edges == frozenset({(1, 1)})

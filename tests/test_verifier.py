@@ -1,9 +1,11 @@
 import dataclasses
 import datetime
+import itertools
 import json
 import random
 import re
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -49,6 +51,7 @@ from zham._version import __version__
 from zham.core import MASK_N, format_bipartite_vertex
 
 C3 = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestEnumeration:
@@ -104,6 +107,21 @@ class TestEnumeration:
         assert random_instance("graph", 1, random.Random(8)) == verifier.graph_from_mask(1, 0)
 
 
+# the claims whose hypothesis or conclusion calls each solver that
+# zham.verifier imports
+SOLVER_USERS = {
+    "strongly_connected": {"thm-zg"},
+    "find_hamiltonian_cycle": {"thm-zg", "thm-gz", "ghouila", "zhu", "woodall"},
+    "find_hamiltonian_cycle_bipartite": {"thm-zg", "thm-zg-pullback", "mm-k", "mm-half"},
+    "find_hamiltonian_cycle_undirected": {"dirac", "faudree"},
+    "find_two_disjoint_hamiltonian_cycles": {"cor1", "cor2"},
+    "find_two_disjoint_perfect_matchings": {"cor3b"},
+    "max_matching": {"thm-gz", "cor3a"},
+    "enumerate_perfect_matchings": {"lv"},
+    "extends_to_hamiltonian": {"lv"},
+}
+
+
 class TestCheckClaim:
     def test_thm_gz_passes_on_triangle(self):
         outcome, details = check_claim(CLAIMS["thm-gz"], C3)
@@ -133,6 +151,25 @@ class TestCheckClaim:
         outcome, details = check_claim(CLAIMS["zhu"], d)
         assert outcome == COUNTEREXAMPLE
         assert details["conclusion"]["hamiltonian"] is False
+
+    @pytest.mark.parametrize("name, users", SOLVER_USERS.items(), ids=list(SOLVER_USERS))
+    def test_a_rebuilt_claim_set_sees_a_rebound_solver(self, monkeypatch, name, users):
+        # the benchmark tracer rebinds each solver in zham.verifier and then
+        # rebuilds CLAIMS; on the complete instance of each kind at n = 4
+        # every hypothesis holds, so every solver a claim uses is reached
+        complete = {kind: cls(4, frozenset(cls.universe(4))) for kind, cls in KINDS.items()}
+        original, callers = getattr(verifier, name), []
+        claim_id = None
+
+        def stand_in(*args):
+            callers.append(claim_id)
+            return original(*args)
+
+        monkeypatch.setattr(verifier, name, stand_in)
+        for claim_id, claim in verifier.build_claims().items():
+            outcome, _ = check_claim(claim, complete[claim.instance_kind])
+            assert outcome == PASS, claim_id
+        assert set(callers) == users
 
 
 def _reference_hypothesis(claim, instance):
@@ -626,6 +663,18 @@ class TestReport:
         assert ESTABLISHED_CLAIM_IDS == {
             "thm-gz", "dirac", "ghouila", "mm-half", "lv", "woodall"
         }
+
+    def test_the_readme_claim_table_is_the_registry(self):
+        # the README's claim table is rendered from build_claims' rows: one
+        # row per claim, in registry order, with its kind and standing
+        expected = ["| claim | kind | standing | description |", "|---|---|---|---|"] + [
+            f"| `{c.claim_id}` | {c.instance_kind} | "
+            f"{'established' if c.established else 'adjudicated'} | {c.description} |"
+            for c in verifier.build_claims().values()
+        ]
+        readme = (ROOT / "README.md").read_text(encoding="utf-8").split("\n")
+        table = readme[readme.index(expected[0]):]
+        assert list(itertools.takewhile(lambda line: line.startswith("|"), table)) == expected
 
     def test_report_is_json_clean_and_sorted(self):
         verdicts = run_suite(["thm-gz", "ghouila"], [2, 3])
