@@ -58,6 +58,7 @@ from .verifier import (
     indented_chunks,
     pullback_halves,
     render_table,
+    requested_claims,
     run_suite,
 )
 from .zmapping import matching_pushforward, unzmap, zmap
@@ -241,16 +242,15 @@ def _cmd_verify(args):
         claim_ids = None
     else:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
-        unknown = [c for c in claim_ids if c not in CLAIMS]
-        if unknown or not claim_ids:
-            named = f"unknown claim id(s) {', '.join(unknown)}" if unknown else (
-                f"--claims {args.claims!r} names no claim id"
-            )
+        if not claim_ids:
+            named = f"--claims {args.claims!r} names no claim id"
             return _fail(f"{named}; known: {', '.join(CLAIMS)}", EXIT_PARSE)
+    try:  # run_suite's own check of the claim ids and samples, as a flag error
+        requested_claims(claim_ids, args.mode, args.samples)
+    except GraphError as exc:
+        return _fail(str(exc), EXIT_PARSE)
     if args.n_min < 1 or args.n_max < args.n_min:
         return _fail("need 1 <= --n-min <= --n-max", EXIT_PARSE)
-    if args.mode == "random" and args.samples < 1:
-        return _fail("--samples must be positive in random mode", EXIT_PARSE)
     budget = _resolve_budget(args.budget)
     if args.report and not _writable(Path(args.report)):
         return _fail(f"cannot write report {args.report}", EXIT_STORE)

@@ -21,7 +21,14 @@ its violators as one sequence in a fixed order and lists the whole
 sequence only when ``violating_items`` is first read.  A single-bound
 hypothesis is decided by one comparison: the minimum degree against the
 bound, or the low-degree count against its allowance.  A pair-deficit
-hypothesis is decided from its sequence's first item alone.  Degrees come
+hypothesis is decided from its sequence's first item alone, and the five
+pair-deficit conditions share one scan, ``_pair_deficits``: a digraph's
+out-degrees against its in-degrees over its arcs, the diagonal u = v
+skipped, or a bipartite graph's x degrees against its y degrees over its
+edges, the diagonal (x_u, y_u) kept.  Under the Z-mapping a digraph's
+ordered non-arc pair (u, v), u != v, is its image's cross non-edge
+(x_u, y_v), with the same degree sum, so the two differ only on that
+diagonal.  Degrees come
 from each instance's ``degree_table``, filled by its constructor beside its
 adjacency index.
 
@@ -277,36 +284,14 @@ def las_vergnas(g: BipartiteGraph) -> ConditionReport:
 def woodall(d: Digraph) -> ConditionReport:
     """Strongly connected and d+(u) + d-(v) >= n for every ordered non-arc
     pair u != v.  Vacuously true for the complete digraph."""
-    return (*_pair_deficits(d, d.n), {"n": d.n})
+    return (*_arc_pair_deficits(d, d.n), {"n": d.n})
 
 
 @_condition("cor2-woodall-plus2", 3, "disjoint = arc-disjoint")
 def woodall_plus2(d: Digraph) -> ConditionReport:
     """Like ``woodall`` with threshold n + 2, but with no connectivity clause
     (the strengthened statement has none)."""
-    return (*_pair_deficits(d, d.n + 2), {"n": d.n})
-
-
-def _first_violator_decides(violators):
-    """The decision of a pair-deficit test, from the first item of its
-    violator sequence ``violators()`` alone, and that sequence."""
-    return next(violators(), None) is None, violators
-
-
-def _pair_deficits(d, threshold):
-    """Decision and violator sequence: ordered non-arc pairs u != v with
-    d+(u) + d-(v) below ``threshold``."""
-    vertices, _, outs, ins = d.degree_table
-    arcs = d.arcs
-
-    def violators():
-        for u, out in zip(vertices, outs):
-            for v, in_ in zip(vertices, ins):
-                total = out + in_
-                if total < threshold and u != v and (u, v) not in arcs:
-                    yield {"pair": [u, v], "degree_sum": total}
-
-    return _first_violator_decides(violators)
+    return (*_arc_pair_deficits(d, d.n + 2), {"n": d.n})
 
 
 def ore_bipartite(g: BipartiteGraph, threshold: int) -> ConditionReport:
@@ -328,21 +313,39 @@ _ore_pm = _condition("cor3-ore-pm", 2)(_ore)
 _ore_2pm = _condition("cor3-ore-2pm", 2, "disjoint = edge-disjoint")(_ore)
 
 
+def _arc_pair_deficits(d, threshold):
+    """``_pair_deficits`` of the ordered vertex pairs (u, v): out-degrees
+    against in-degrees, over the arcs, the diagonal u = v skipped."""
+    vertices, _, outs, ins = d.degree_table
+    labels = tuple(vertices)  # the scan reads a label by index, slow on a range
+    return _pair_deficits(labels, outs, labels, ins, d.arcs, threshold, True)
+
+
 def _cross_pair_deficits(g, threshold):
-    """Decision and violator sequence: non-adjacent cross pairs (x_i, y_j)
-    with d(x_i) + d(y_j) below ``threshold``."""
-    n = g.n
-    labels, degrees = g.degree_table
-    edges = g.edges
+    """``_pair_deficits`` of the cross pairs (x_i, y_j): the x half of the
+    degree table against its y half, over the edges, diagonal kept."""
+    n, (labels, degrees) = g.n, g.degree_table
+    return _pair_deficits(labels[:n], degrees[:n], labels[n:], degrees[n:], g.edges, threshold)
+
+
+def _pair_deficits(
+    row_labels, row_degrees, column_labels, column_degrees, pairs, threshold, skip_diagonal=False
+):
+    """The one pair-deficit test.  The pair of the i-th row and the j-th
+    column, counting from 1, is ``(i, j)`` in ``pairs`` and their two labels
+    in a violator.  Its violators are the pairs not in ``pairs`` (nor on the
+    diagonal i == j, when ``skip_diagonal``) whose degree sum is below
+    ``threshold``, row by row.  Returns the decision, from the first
+    violator alone, and the violator sequence."""
 
     def violators():
-        for i, x_degree in enumerate(degrees[:n], 1):
-            for j, y_degree in enumerate(degrees[n:], 1):
-                total = x_degree + y_degree
-                if total < threshold and (i, j) not in edges:
-                    yield {"pair": [labels[i - 1], labels[n + j - 1]], "degree_sum": total}
+        for i, row_degree in enumerate(row_degrees, 1):
+            for j, column_degree in enumerate(column_degrees, 1):
+                total = row_degree + column_degree
+                if total < threshold and (i, j) not in pairs and (i != j or not skip_diagonal):
+                    yield {"pair": [row_labels[i - 1], column_labels[j - 1]], "degree_sum": total}
 
-    return _first_violator_decides(violators)
+    return next(violators(), None) is None, violators
 
 
 def build_registry() -> dict:

@@ -5,7 +5,11 @@ Format, bit-exact: the first non-comment line is a header ``D <n>`` (digraph),
 following non-comment line is ``u v`` — an arc u->v for D, the edge x_u—y_v
 for B, the edge u—v for G.  ``#`` starts a comment line, indices are 1-based,
 encoding is UTF-8 with LF line endings.  The header n and each index are an
-optional ``-`` and ASCII digits.  Serialization always emits edges in
+optional ``-`` and ASCII digits.  Tokens are separated by ASCII spaces and
+tabs only: outside comments, any other whitespace in a line (a no-break
+space, U+000B, U+2028 ...) is a ``ParseError`` naming the line; a
+carriage return at either end of a line, as a CRLF line end leaves, is
+dropped with the spaces and tabs there.  Serialization always emits edges in
 ascending order, so parse-serialize is a normalizing round trip.
 
 A header n below 1 or above ``MAX_HEADER_N`` is refused with ``GraphError``
@@ -37,14 +41,19 @@ class ParseError(ValueError):
 
 
 def _content_lines(text):
+    """(line number, line, tokens) of each line that is not blank or a
+    comment, its tokens split at ASCII spaces and tabs."""
     # lines end at "\n" only: a comment may hold a raw U+2028 or U+0085,
-    # which ``str.splitlines`` would also split on; a CRLF line's "\r" is
-    # stripped with its other whitespace
+    # which ``str.splitlines`` would also split on
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\r")  # "\r": a CRLF line's end
         if not line or line.startswith("#"):
             continue
-        yield line_no, line
+        # a printable line holds no whitespace but spaces, so str.split
+        # splits it at spaces and tabs alone
+        if not line.isprintable() and any(c.isspace() and c not in " \t" for c in line):
+            raise ParseError(f"whitespace other than space or tab in {line!r}", line_no)
+        yield line_no, line, line.split()
 
 
 def _index(token):
@@ -68,10 +77,9 @@ def parse_graph_text(text: str):
     """
     lines = _content_lines(text)
     try:
-        header_no, header = next(lines)
+        header_no, header, fields = next(lines)
     except StopIteration:
         raise ParseError("missing header line") from None
-    fields = header.split()
     if len(fields) != 2 or fields[0] not in _HEADER_KINDS:
         raise ParseError(
             f"header must be 'D <n>', 'B <n>' or 'G <n>', got {header!r}", header_no
@@ -88,8 +96,7 @@ def parse_graph_text(text: str):
 
     def pairs():
         nonlocal line_no
-        for line_no, line in lines:
-            tokens = line.split()
+        for line_no, line, tokens in lines:
             if len(tokens) != 2:
                 raise ParseError(f"expected 'u v', got {line!r}", line_no)
             try:

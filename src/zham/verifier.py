@@ -444,14 +444,21 @@ def _instance_degrees(instance):
     return {str(v): total for v, total in zip(labels, totals)}
 
 
-def _resolve_claims(claim_ids):
+def requested_claims(claim_ids=None, mode="exhaustive", samples=1000):
     """The claims ``claim_ids`` names, each once, in first-named order (all
-    claims for None)."""
-    if claim_ids is None:
-        return list(CLAIMS.values())
+    claims for None), after the one check of a sweep request's claim ids,
+    mode and samples: GraphError naming every unknown claim id, a mode that
+    is neither "exhaustive" nor "random", or, in random mode, a ``samples``
+    that is not a positive integer."""
+    claim_ids = CLAIMS if claim_ids is None else claim_ids
     unknown = [cid for cid in claim_ids if cid not in CLAIMS]
     if unknown:
-        raise GraphError(f"unknown claim id {unknown[0]!r}; known: {', '.join(CLAIMS)}")
+        named = ", ".join(map(str, unknown))
+        raise GraphError(f"unknown claim id(s) {named}; known: {', '.join(CLAIMS)}")
+    if mode not in ("exhaustive", "random"):
+        raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
+    if mode == "random" and not (is_int(samples) and samples > 0):
+        raise GraphError(f"samples must be a positive integer in random mode, got {samples!r}")
     return [CLAIMS[cid] for cid in dict.fromkeys(claim_ids)]
 
 
@@ -471,18 +478,20 @@ def run_suite(
     ``samples`` instances per size from a generator seeded with ``seed``,
     each mask as its instance is checked (kinds are processed digraph,
     bipartite, graph and sizes ascending, so the draw order is
-    reproducible).  Every size is checked before any work: it must be a
-    positive integer and at most its kind's cap in exhaustive mode (the
-    ``max_n`` of its type in ``core.KINDS``), or at most ``core.MASK_N`` in
-    random mode; GraphError otherwise.  A claim id named twice is swept
-    once.  Counterexamples are appended to ``store_path`` when given, in
-    (claim id, n, instance) order; equal details are one object (see
-    ``Counterexample``).  Returns ClaimVerdicts in request order.
+    reproducible).  Every field is checked before any work, the claim ids,
+    mode and samples by ``requested_claims``.  ``n_values`` must name at
+    least one size, and each must be a positive integer and at most its
+    kind's cap in exhaustive mode (the ``max_n`` of its type in
+    ``core.KINDS``), or at most ``core.MASK_N`` in random mode; GraphError
+    otherwise.  A claim id named twice is swept once.  Counterexamples are
+    appended to ``store_path`` when given, in (claim id, n, instance)
+    order; equal details are one object (see ``Counterexample``).  Returns
+    ClaimVerdicts in request order.
     """
-    if mode not in ("exhaustive", "random"):
-        raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
-    claims = _resolve_claims(claim_ids)
+    claims = requested_claims(claim_ids, mode, samples)
     sizes = dict.fromkeys(n_values)  # checked before sorting: "3" and 2 do not order
+    if not sizes:
+        raise GraphError("n_values names no instance size")
     swept = [(kind, [c for c in claims if c.instance_kind == kind]) for kind in KINDS]
     swept = [(kind, kind_claims) for kind, kind_claims in swept if kind_claims]
     # one exhaustive size past its cap is 2^28 instances or more; a random

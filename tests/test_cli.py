@@ -17,7 +17,7 @@ from zham import GraphError, cli, verifier
 from zham.cli import main
 from zham.core import MASK_N
 from zham.fileio import MAX_HEADER_N, parse_graph_text
-from zham.verifier import CLAIMS, Claim
+from zham.verifier import CLAIMS, Claim, run_suite
 
 C3_TEXT = "D 3\n1 2\n2 3\n3 1\n"
 ZK3_TEXT = "B 3\n1 2\n1 3\n2 1\n2 3\n3 1\n3 2\n"
@@ -295,6 +295,21 @@ class TestConditionsCommand:
         path.write_text("B 3\n1 1\n")
         assert main(["conditions", str(path), "--id", "moon-moser-k", "--k", "9"]) == 3
 
+    def test_moon_moser_k_on_digraph_input_exits_3(self, c3_file, capsys):
+        assert main(["conditions", c3_file, "--id", "moon-moser-k"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: moon-moser-k applies to bipartite input only\n"
+
+    def test_moon_moser_k_on_part_size_two_exits_3(self, tmp_path, capsys):
+        # 1 < k < n admits no k when n = 2
+        path = tmp_path / "k22.txt"
+        path.write_text("B 2\n1 1\n1 2\n2 1\n2 2\n")
+        assert main(["conditions", str(path), "--id", "moon-moser-k"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no admissible k for part size 2 (need 1 < k < n)\n"
+
     def test_k_on_digraph_input_exits_3(self, c3_file, capsys):
         assert main(["conditions", c3_file, "--k", "7"]) == 3
         captured = capsys.readouterr()
@@ -395,6 +410,24 @@ class TestVerifyCommand:
 
     def test_unknown_claim_exits_2(self):
         assert main(["verify", "--claims", "nope"]) == 2
+
+    def test_unknown_claims_are_named_as_the_sweep_names_them(self, capsys):
+        assert main(["verify", "--claims", "foo,thm-gz,bar"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        with pytest.raises(GraphError) as exc:
+            run_suite(["foo", "thm-gz", "bar"], [1])
+        assert captured.err == f"error: {exc.value}\n"
+        assert captured.err.startswith("error: unknown claim id(s) foo, bar; known: ")
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_random_mode_needs_a_positive_sample_count(self, samples, capsys):
+        args = ["verify", "--claims", "thm-zg", "--mode", "random", "--samples", samples]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"samples must be a positive integer in random mode, got {samples}"
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("claims", [",", " , ,"])
     def test_claims_naming_no_id_exit_2(self, claims, capsys):

@@ -18,14 +18,17 @@ from zham import (
     woodall,
     woodall_plus2,
     zhu_digraph,
+    zmap,
 )
 import pickle
+import random
 import re
 import sys
 import threading
 
 from zham import conditions, verifier
 from zham.conditions import CONDITION_IDS, ConditionReport, build_registry
+from zham.core import arc_universe
 from zham.verifier import enumerate_bipartite, enumerate_digraphs, enumerate_graphs
 
 import brute
@@ -467,6 +470,45 @@ def test_each_decision_matches_its_listing_exhaustively():
                 assert report.hypothesis_holds == (not report.violating_items), (cid, instance, k)
 
 
+def _off_diagonal(report):
+    """The violators of a cross-pair report on ``zmap(d)`` with x_u, y_v
+    read as d's u, v, the diagonal pairs (x_u, y_u) dropped."""
+    items = []
+    for item in report.violating_items:
+        u, v = (int(label[1:]) for label in item["pair"])
+        if u != v:
+            items.append({"pair": [u, v], "degree_sum": item["degree_sum"]})
+    return items
+
+
+def _zmap_pair_instances():
+    yield from enumerate_digraphs(3)
+    yield from enumerate_digraphs(4)
+    rng = random.Random(2027)
+    bits = len(arc_universe(5))
+    for _ in range(3000):
+        yield verifier.digraph_from_mask(5, rng.getrandbits(bits))
+
+
+def test_digraph_pair_deficits_are_the_off_diagonal_cross_pairs_of_the_image():
+    # an ordered non-arc pair (u, v), u != v, of d is the cross non-edge
+    # (x_u, y_v) of zmap(d), with d+(u) + d-(v) = deg(x_u) + deg(y_v): the
+    # digraph and bipartite pair tests are one scan, apart from the diagonal
+    count = 0
+    for d in _zmap_pair_instances():
+        g = zmap(d)
+        for digraph_report, image_report in (
+            (woodall(d), ore_bipartite(g, g.n)),
+            (woodall_plus2(d), ore_bipartite(g, g.n + 2)),
+        ):
+            items = list(digraph_report.violating_items)
+            if items[:1] == [conditions.NOT_STRONG]:
+                items = items[1:]
+            assert items == _off_diagonal(image_report), (d, digraph_report.condition_id)
+        count += 1
+    assert count == 64 + 4096 + 3000
+
+
 def test_the_registry_lists_each_condition_once_with_its_kind():
     registry = build_registry()
     assert tuple(registry) == CONDITION_IDS
@@ -523,19 +565,24 @@ class TestLazyReport:
         )
 
     def test_deciding_lists_only_the_first_violator(self):
-        pulled = []
+        pulled = []  # each pair the scan tests against the pair set
 
-        def violators():
-            for item in ({"vertex": 1}, {"vertex": 2}, {"vertex": 3}):
-                pulled.append(item["vertex"])
-                yield item
+        class NoPairs(frozenset):
+            def __contains__(self, pair):
+                pulled.append(pair)
+                return False
 
-        holds, violators = conditions._first_violator_decides(violators)
-        report = ConditionReport._decide("dirac", holds, violators, {"n": 3})
+        # three rows, one column, every degree sum below the threshold: each
+        # pair the scan tests is a violator
+        rows, row_degrees = ("a", "b", "c"), (0, 0, 0)
+        holds, violators = conditions._pair_deficits(rows, row_degrees, ("z",), (0,), NoPairs(), 1)
+        report = ConditionReport._decide("woodall", holds, violators, {"n": 3})
         assert not report.hypothesis_holds
-        assert pulled == [1]
-        assert report.violating_items == ({"vertex": 1}, {"vertex": 2}, {"vertex": 3})
-        assert pulled == [1, 1, 2, 3]  # listed from scratch, once
+        assert pulled == [(1, 1)]
+        assert report.violating_items == tuple(
+            {"pair": [u, "z"], "degree_sum": 0} for u in rows
+        )
+        assert pulled == [(1, 1), (1, 1), (2, 1), (3, 1)]  # listed from scratch, once
         assert report.violating_items is report.violating_items
 
     def test_a_holding_report_lists_nothing(self):

@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 import subprocess
 import sys
 from itertools import permutations, product
@@ -365,6 +366,10 @@ class TestWitnessItems:
         w = CycleWitness(GRAPH_CYCLE, (("x", 1), ("y", 2), ("x", 3), ("y", 1), ("x", 2), ("y", 3)))
         assert w.items == ((1, 2), (3, 2), (3, 1), (2, 1), (2, 3), (1, 3))
 
+    def test_undirected_items_are_min_max_edges(self):
+        w = CycleWitness(GRAPH_CYCLE, (1, 4, 2, 3))
+        assert w.items == ((1, 4), (2, 4), (2, 3), (1, 3))
+
     def test_hamiltonian_length_check(self):
         w = CycleWitness(DIGRAPH_CYCLE, (1, 2, 3))
         assert w.is_hamiltonian(C3)
@@ -372,6 +377,18 @@ class TestWitnessItems:
 
 
 class TestMatching:
+    @pytest.mark.parametrize("item", [3, (1,), (1, 2, 3), "ab!"], ids=repr)
+    def test_rejects_a_non_pair(self, item):
+        with pytest.raises(GraphError, match=f"^{re.escape(repr(item))} is not a pair$"):
+            Matching(frozenset({(1, 1), item}))
+
+    @pytest.mark.parametrize("endpoint", [0, -1, True, 1.0, "1"], ids=repr)
+    def test_rejects_a_non_positive_endpoint(self, endpoint):
+        message = f"^matching endpoint {re.escape(repr(endpoint))} is not a positive integer$"
+        for pair in ((endpoint, 2), (2, endpoint)):
+            with pytest.raises(GraphError, match=message):
+                Matching(frozenset({pair}))
+
     def test_rejects_shared_endpoint(self):
         with pytest.raises(GraphError):
             Matching(frozenset({(1, 1), (1, 2)}))

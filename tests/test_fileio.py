@@ -62,6 +62,26 @@ class TestParse:
             parse_graph_text("D 3\r\n# note\r\n1 4\r\n")
         assert str(exc.value) == "vertex 4 out of range 1..3 at line 3"
 
+    @pytest.mark.parametrize("char", ["\xa0", "\x0b", "\x1c", "\u2028", "\u3000"], ids=ascii)
+    def test_tokens_split_on_ascii_space_and_tab_only(self, char):
+        # between the indices, around them, or in the header: outside a
+        # comment any other whitespace is refused, naming its line
+        for text, line_no in (
+            (f"D 2\n1{char}2\n", 2),
+            (f"D 2\n# a comment\n{char}1 2\n", 3),
+            (f"D 2\n1 2{char}\n", 2),
+            (f"D{char}2\n1 2\n", 1),
+        ):
+            with pytest.raises(ParseError, match="^whitespace other than space or tab in ") as exc:
+                parse_graph_text(text)
+            assert exc.value.line_no == line_no
+        assert parse_graph_text(f"D 2\n# a{char}comment\n1 2\n") == parse_graph_text("D 2\n1 2\n")
+
+    def test_tabs_and_runs_of_spaces_separate_tokens(self):
+        text = "D\t3\n\t1\t2\n 2 \t 3 \n3   1\t\n"
+        assert parse_graph_text(text) == parse_graph_text(C3_TEXT)
+        assert parse_graph_text(text.replace("\n", "\r\n")) == parse_graph_text(C3_TEXT)
+
     def test_bipartite_diagonal_edge_is_legal_in_files(self):
         g = parse_graph_text("B 2\n1 1\n")
         assert g.edges == frozenset({(1, 1)})

@@ -714,7 +714,7 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
 
 # the code lines of src/zham as ``module_code_lines`` counts them; a change
 # that adds code raises this in its own diff, one that removes code lowers it
-CODE_LINE_BUDGET = 1_853
+CODE_LINE_BUDGET = 1_851
 
 
 def test_code_lines_within_budget():

@@ -141,6 +141,17 @@ class TestCheckClaim:
         assert outcome == BUDGET_EXHAUSTED
         assert details["stage"] == "hypothesis"
 
+    def test_budget_exhaustion_at_the_conclusion_keeps_the_hypothesis(self):
+        # ghouila's hypothesis is a degree test that spends no search nodes
+        # and holds on the complete digraph; its conclusion's search needs
+        # more than 3
+        k4 = build_digraph(4, [(u, v) for u in range(1, 5) for v in range(1, 5) if u != v])
+        outcome, details = check_claim(CLAIMS["ghouila"], k4, budget=3)
+        assert outcome == BUDGET_EXHAUSTED
+        holds, hypothesis = CLAIMS["ghouila"].hypothesis(k4, None)
+        assert holds
+        assert details == {"stage": "conclusion", "hypothesis": hypothesis}
+
     def test_zhu_counterexample_reproduces(self):
         # one low-degree vertex hanging off a complete core: hypothesis holds
         # but no Hamiltonian cycle can pass through vertex 1 twice
@@ -324,6 +335,36 @@ class TestRunSuite:
     def test_unknown_claim_is_rejected(self):
         with pytest.raises(GraphError):
             run_suite(["no-such-claim"], [2])
+
+    def test_every_unknown_claim_id_is_named(self):
+        known = ", ".join(CLAIMS)
+        message = f"^unknown claim id\\(s\\) foo, bar; known: {re.escape(known)}$"
+        with pytest.raises(GraphError, match=message):
+            run_suite(["foo", "thm-zg", "bar"], [1])
+
+    @pytest.mark.parametrize("samples", [0, -3, "10", 2.5, True], ids=repr)
+    def test_a_bad_random_sample_count_is_refused_before_any_work(self, monkeypatch, samples):
+        monkeypatch.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
+        message = f"^samples must be a positive integer in random mode, got {re.escape(repr(samples))}$"
+        with pytest.raises(GraphError, match=message):
+            run_suite(["thm-zg"], [5], mode="random", samples=samples, seed=1)
+
+    def test_exhaustive_mode_reads_no_sample_count(self):
+        [verdict] = run_suite(["thm-gz"], [2], samples=0)
+        assert verdict.instances_scanned == 4
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_an_empty_size_list_is_refused_before_any_work(self, monkeypatch, mode):
+        monkeypatch.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
+        with pytest.raises(GraphError, match="^n_values names no instance size$"):
+            run_suite(["thm-zg"], [], mode=mode, samples=1, seed=1)
+
+    def test_a_sweep_out_of_budget_reads_incomplete(self):
+        [verdict] = run_suite(["ghouila"], [4], budget=1)
+        assert verdict.exhausted_budget == verdict.hypothesis_hits > 0
+        assert not verdict.counterexamples and verdict.passes == 0
+        row = render_table([verdict]).splitlines()[1]
+        assert row.endswith("  incomplete (budget)")
 
     def test_a_repeated_claim_id_is_swept_once(self, tmp_path):
         verdicts = run_suite(["dirac", "thm-gz", "dirac"], range(1, 5))
@@ -629,6 +670,13 @@ class TestStore:
             "tool_version": "0.1.0", "rng_seed": None,
         }
         assert reverify_record(record) is False
+
+    def test_an_unknown_claim_id_does_not_reverify(self, tmp_path):
+        store_path = tmp_path / "zhu.jsonl"
+        run_suite(["zhu"], [4], store_path=store_path)
+        record = CounterexampleStore(store_path).load()[0]
+        assert reverify_record(record)
+        assert reverify_record({**record, "claim_id": "no-such-claim"}) is False
 
     @pytest.mark.parametrize("instance", ["garbage", "B 3\n1 9\n"])
     def test_an_instance_that_does_not_parse_does_not_reverify(self, instance):
