@@ -12,10 +12,8 @@ written by ``verifier.dumps_indented`` (the verify report chunk by chunk, by
     5  an established claim produced a counterexample (verify only)
     6  store or output I/O failure (verify checks --report before it sweeps)
 
-The ``ZHAM_BUDGET`` environment variable overrides the default node budget
-wherever ``--budget`` is not given; a budget below 0 from either is a parse
-error.  ``python -m zham`` and ``python -m zham.cli`` run the same command
-line as ``zham``.
+A ``--budget`` below 0 is a parse error.  ``python -m zham`` and
+``python -m zham.cli`` run the same command line as ``zham``.
 
 ``main`` builds the argparse parser on its first call and reuses it for every
 later call in the process, so an in-process caller pays for argparse once, not
@@ -80,18 +78,11 @@ def _emit_json(payload):
     print(dumps_indented(payload).decode())
 
 
-def _resolve_budget(flag_value):
-    """The node budget: ``--budget``, else ``ZHAM_BUDGET``, else None (the
-    solvers' default); either given below 0 is a ``ParseError``."""
-    source, budget = "--budget", flag_value
-    if budget is None and "ZHAM_BUDGET" in os.environ:
-        source, env = "ZHAM_BUDGET", os.environ["ZHAM_BUDGET"]
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ParseError(f"ZHAM_BUDGET must be an integer, got {env!r}") from None
+def _resolve_budget(budget):
+    """The node budget ``--budget`` gives, None (the solvers' default) when
+    absent; one below 0 is a ``ParseError``."""
     if budget is not None and budget < 0:
-        raise ParseError(f"{source} must be at least 0, got {budget}")
+        raise ParseError(f"--budget must be at least 0, got {budget}")
     return budget
 
 
@@ -245,16 +236,14 @@ def _cmd_verify(args):
         if not claim_ids:
             named = f"--claims {args.claims!r} names no claim id"
             return _fail(f"{named}; known: {', '.join(CLAIMS)}", EXIT_PARSE)
-    try:  # run_suite's own check of the claim ids and samples, as a flag error
-        requested_claims(claim_ids, args.mode, args.samples)
+    n_values = range(args.n_min, args.n_max + 1)
+    try:  # run_suite's own check of the request, as a flag error
+        requested_claims(claim_ids, n_values, args.mode, args.samples)
     except GraphError as exc:
         return _fail(str(exc), EXIT_PARSE)
-    if args.n_min < 1 or args.n_max < args.n_min:
-        return _fail("need 1 <= --n-min <= --n-max", EXIT_PARSE)
     budget = _resolve_budget(args.budget)
     if args.report and not _writable(Path(args.report)):
         return _fail(f"cannot write report {args.report}", EXIT_STORE)
-    n_values = range(args.n_min, args.n_max + 1)
 
     options = {"mode": args.mode, "seed": args.seed, "samples": args.samples, "budget": budget}
     verdicts = run_suite(claim_ids, n_values, store_path=args.store, **options)

@@ -318,32 +318,34 @@ def _arc_pair_deficits(d, threshold):
     against in-degrees, over the arcs, the diagonal u = v skipped."""
     vertices, _, outs, ins = d.degree_table
     labels = tuple(vertices)  # the scan reads a label by index, slow on a range
-    return _pair_deficits(labels, outs, labels, ins, d.arcs, threshold, True)
+    return _pair_deficits(labels, 0, outs, ins, d.arcs, threshold, True)
 
 
 def _cross_pair_deficits(g, threshold):
     """``_pair_deficits`` of the cross pairs (x_i, y_j): the x half of the
     degree table against its y half, over the edges, diagonal kept."""
     n, (labels, degrees) = g.n, g.degree_table
-    return _pair_deficits(labels[:n], degrees[:n], labels[n:], degrees[n:], g.edges, threshold)
+    return _pair_deficits(labels, n, degrees[:n], degrees[n:], g.edges, threshold)
 
 
 def _pair_deficits(
-    row_labels, row_degrees, column_labels, column_degrees, pairs, threshold, skip_diagonal=False
+    labels, column_offset, row_degrees, column_degrees, pairs, threshold, skip_diagonal=False
 ):
     """The one pair-deficit test.  The pair of the i-th row and the j-th
-    column, counting from 1, is ``(i, j)`` in ``pairs`` and their two labels
-    in a violator.  Its violators are the pairs not in ``pairs`` (nor on the
-    diagonal i == j, when ``skip_diagonal``) whose degree sum is below
-    ``threshold``, row by row.  Returns the decision, from the first
-    violator alone, and the violator sequence."""
+    column, counting from 1, is ``(i, j)`` in ``pairs``; its two labels in
+    a violator are ``labels[i - 1]`` and ``labels[column_offset + j - 1]``,
+    read only when a violator is made.  Its violators are the pairs not in
+    ``pairs`` (nor on the diagonal i == j, when ``skip_diagonal``) whose
+    degree sum is below ``threshold``, row by row.  Returns the decision,
+    from the first violator alone, and the violator sequence."""
 
     def violators():
         for i, row_degree in enumerate(row_degrees, 1):
             for j, column_degree in enumerate(column_degrees, 1):
                 total = row_degree + column_degree
                 if total < threshold and (i, j) not in pairs and (i != j or not skip_diagonal):
-                    yield {"pair": [row_labels[i - 1], column_labels[j - 1]], "degree_sum": total}
+                    pair = [labels[i - 1], labels[column_offset + j - 1]]
+                    yield {"pair": pair, "degree_sum": total}
 
     return next(violators(), None) is None, violators
 

@@ -12,12 +12,13 @@ repeated questions about one value are answered once.  Every search walks
 the index of the id space the host's type states (ids 1..``id_count``,
 their adjacency ``masks`` and ``rows``), the one index its constructor
 fills.  One cycle search serves every kind and maps the ids it finds back
-to the host's vertices.  Strong connectivity grows reached-id masks along
-the same bitmask rows (a Tarjan walk over the tuple rows of a digraph
-above ``core.MASK_N``).  The matching searches walk a bipartite host's id
-rows, in which y_j is id n + j (``max_matching`` reads only its n x rows,
-decoded from their masks up to ``MASK_N``), and every prune reads the
-host's ``degree_table``.
+to the host's vertices.  Strong connectivity is one reach walk from vertex
+1, forward and backward, that grows reached-id masks along the same
+bitmask rows (and marks reached ids in a bytearray along the tuple rows of
+a digraph above ``core.MASK_N``).  The matching searches walk a bipartite
+host's id rows, in which y_j is id n + j (``max_matching`` reads only its n
+x rows, decoded from their masks up to ``MASK_N``), and every prune reads
+the host's ``degree_table``.
 
 Every search keeps its own stack instead of recursing, so each works for
 any n.  ``extends_to_hamiltonian`` has no search of its own: it asks the
@@ -86,52 +87,6 @@ class DisjointPair:
     exhausted: bool = False
 
 
-def strongly_connected_components(d: Digraph):
-    """Tarjan's algorithm; components sorted internally, in completion order.
-
-    The depth-first walk keeps its own stack of (vertex, successor iterator)
-    frames, so any n works.
-    """
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    components = []
-    for root in d.vertices():
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        walk = [(root, iter(d.rows[root]))]
-        while walk:
-            v, successors = walk[-1]
-            for w in successors:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    walk.append((w, iter(d.rows[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                walk.pop()
-                if walk:
-                    parent = walk[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(tuple(sorted(comp)))
-    return components
-
-
 def _reaches_all(masks, n):
     """True when every vertex of 1..n is reachable from vertex 1 along the
     bitmask rows ``masks``: each reached vertex not yet expanded (a bit of
@@ -146,20 +101,36 @@ def _reaches_all(masks, n):
     return seen == (1 << (n + 1)) - 2
 
 
-def strongly_connected(d: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path.
+def _row_reaches_all(step, n):
+    """True when every vertex of 1..n is reachable from vertex 1 along the
+    tuple rows ``step(v)``: each reached vertex, taken from a stack, marks
+    the unseen ids of its row in ``seen`` and pushes them."""
+    seen = bytearray(n + 1)
+    seen[1] = 1
+    stack = [1]
+    while stack:
+        for w in step(stack.pop()):
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    return seen.count(1) == n
 
-    Two sweeps from vertex 1, one forward over the out-masks and one
-    backward over the in-masks; above ``MASK_N``, where a digraph is
-    indexed by tuple rows, one Tarjan walk over them instead, so any n
-    works in time linear in its index.  The answer is memoised on ``d``.
+
+def strongly_connected(d: Digraph) -> bool:
+    """True iff every ordered vertex pair is joined by a directed path:
+    vertex 1 reaches every vertex, and every vertex reaches vertex 1.
+
+    One sweep from vertex 1 forward and one backward, over the out- and
+    in-masks up to ``MASK_N``; above it, where a digraph is indexed by
+    tuple rows, over its successor and predecessor rows, so any n works in
+    time and memory linear in n + m.  The answer is memoised on ``d``.
     """
     strong = d._memo.get("strongly_connected")
     if strong is None:
         strong = d._memo["strongly_connected"] = (
             _reaches_all(d.masks, d.n) and _reaches_all(d.in_masks, d.n)
             if d.n <= MASK_N
-            else len(strongly_connected_components(d)) == 1
+            else _row_reaches_all(d.successors, d.n) and _row_reaches_all(d.predecessors, d.n)
         )
     return strong
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -444,14 +445,27 @@ def _instance_degrees(instance):
     return {str(v): total for v, total in zip(labels, totals)}
 
 
-def requested_claims(claim_ids=None, mode="exhaustive", samples=1000):
-    """The claims ``claim_ids`` names, each once, in first-named order (all
-    claims for None), after the one check of a sweep request's claim ids,
-    mode and samples: GraphError naming every unknown claim id, a mode that
-    is neither "exhaustive" nor "random", or, in random mode, a ``samples``
-    that is not a positive integer."""
-    claim_ids = CLAIMS if claim_ids is None else claim_ids
-    unknown = [cid for cid in claim_ids if cid not in CLAIMS]
+def _request_list(values, name):
+    """``values`` as a list; GraphError for a str or a non-iterable, which
+    a sweep request must not read item by item."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise GraphError(f"{name} must be an iterable other than str, got {values!r}")
+    return list(values)
+
+
+def requested_claims(claim_ids, n_values, mode, samples):
+    """The one check of a sweep request, before any work: the claims
+    ``claim_ids`` names, each once, in first-named order (all claims for
+    None), and the sizes ``n_values`` names, each once, ascending.
+    GraphError, in this order, for ``claim_ids`` that is a str or not
+    iterable, naming every claim id that is not a known one (a non-str id
+    included), for a mode that is neither "exhaustive" nor "random", in
+    random mode for a ``samples`` that is not a positive integer, and for
+    ``n_values`` that is a str or not iterable, names no size, or names a
+    size that is not a positive integer.  Size caps are the sweep's own
+    check (see ``run_suite``)."""
+    claim_ids = CLAIMS if claim_ids is None else _request_list(claim_ids, "claim_ids")
+    unknown = [cid for cid in claim_ids if not isinstance(cid, str) or cid not in CLAIMS]
     if unknown:
         named = ", ".join(map(str, unknown))
         raise GraphError(f"unknown claim id(s) {named}; known: {', '.join(CLAIMS)}")
@@ -459,7 +473,13 @@ def requested_claims(claim_ids=None, mode="exhaustive", samples=1000):
         raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
     if mode == "random" and not (is_int(samples) and samples > 0):
         raise GraphError(f"samples must be a positive integer in random mode, got {samples!r}")
-    return [CLAIMS[cid] for cid in dict.fromkeys(claim_ids)]
+    sizes = _request_list(n_values, "n_values")
+    if not sizes:
+        raise GraphError("n_values names no instance size")
+    for n in sizes:
+        if not (is_int(n) and n > 0):
+            raise GraphError(f"instance size must be a positive integer, got {n!r}")
+    return [CLAIMS[cid] for cid in dict.fromkeys(claim_ids)], sorted(set(sizes))
 
 
 def run_suite(
@@ -478,20 +498,16 @@ def run_suite(
     ``samples`` instances per size from a generator seeded with ``seed``,
     each mask as its instance is checked (kinds are processed digraph,
     bipartite, graph and sizes ascending, so the draw order is
-    reproducible).  Every field is checked before any work, the claim ids,
-    mode and samples by ``requested_claims``.  ``n_values`` must name at
-    least one size, and each must be a positive integer and at most its
-    kind's cap in exhaustive mode (the ``max_n`` of its type in
-    ``core.KINDS``), or at most ``core.MASK_N`` in random mode; GraphError
-    otherwise.  A claim id named twice is swept once.  Counterexamples are
-    appended to ``store_path`` when given, in (claim id, n, instance)
-    order; equal details are one object (see ``Counterexample``).  Returns
-    ClaimVerdicts in request order.
+    reproducible).  Every field is checked before any work, each once: the
+    claim ids, sizes, mode and samples by ``requested_claims``, then each
+    size against its kind's cap, the ``max_n`` of its type in
+    ``core.KINDS`` in exhaustive mode or ``core.MASK_N`` in random mode;
+    GraphError otherwise.  A claim id or size named twice is swept once.
+    Counterexamples are appended to ``store_path`` when given, in (claim
+    id, n, instance) order; equal details are one object (see
+    ``Counterexample``).  Returns ClaimVerdicts in request order.
     """
-    claims = requested_claims(claim_ids, mode, samples)
-    sizes = dict.fromkeys(n_values)  # checked before sorting: "3" and 2 do not order
-    if not sizes:
-        raise GraphError("n_values names no instance size")
+    claims, sizes = requested_claims(claim_ids, n_values, mode, samples)
     swept = [(kind, [c for c in claims if c.instance_kind == kind]) for kind in KINDS]
     swept = [(kind, kind_claims) for kind, kind_claims in swept if kind_claims]
     # one exhaustive size past its cap is 2^28 instances or more; a random
@@ -500,7 +516,6 @@ def run_suite(
         cap = KINDS[kind].max_n if mode == "exhaustive" else MASK_N
         for n in sizes:
             _check_enum_bounds(n, cap, kind)
-    sizes = sorted(sizes)
     rng = random.Random(seed) if mode == "random" else None
     outcomes = (HYPOTHESIS_MISS, PASS, COUNTEREXAMPLE, BUDGET_EXHAUSTED)
     counts = {c.claim_id: dict.fromkeys(outcomes, 0) for c in claims}

@@ -144,15 +144,6 @@ class TestSolverCommands:
         assert payload["exhausted"] is True
         _validate(payload, "solve")
 
-    def test_budget_env_var(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "k5.txt"
-        arcs = [(u, v) for u in range(1, 6) for v in range(1, 6) if u != v]
-        path.write_text("D 5\n" + "".join(f"{u} {v}\n" for u, v in arcs))
-        monkeypatch.setenv("ZHAM_BUDGET", "2")
-        assert main(["ham", str(path)]) == 4
-        monkeypatch.setenv("ZHAM_BUDGET", "not-a-number")
-        assert main(["ham", str(path)]) == 2
-
     @pytest.mark.parametrize("cmd", ["ham", "pushforward"])
     def test_negative_budget_flag_exits_2(self, c3_file, cmd, capsys):
         assert main([cmd, c3_file, "--budget", "-5"]) == 2
@@ -160,19 +151,15 @@ class TestSolverCommands:
         assert captured.out == ""
         assert captured.err == "error: --budget must be at least 0, got -5\n"
 
-    def test_negative_budget_env_var_exits_2(self, c3_file, capsys, monkeypatch):
-        monkeypatch.setenv("ZHAM_BUDGET", "-3")
-        assert main(["ham", c3_file]) == 2
-        assert main(["verify", "--claims", "thm-gz", "--n-max", "1"]) == 2
-        assert capsys.readouterr().err == "error: ZHAM_BUDGET must be at least 0, got -3\n" * 2
-        # the flag wins over the variable
-        assert main(["ham", c3_file, "--budget", "10"]) == 0
+    def test_negative_budget_exits_2_before_a_sweep(self, capsys):
+        assert main(["verify", "--claims", "thm-gz", "--n-max", "1", "--budget", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --budget must be at least 0, got -3\n"
 
-    def test_budget_zero_still_exhausts_at_once(self, c3_file, capsys, monkeypatch):
+    def test_budget_zero_still_exhausts_at_once(self, c3_file, capsys):
         assert main(["ham", c3_file, "--budget", "0"]) == 4
         assert json.loads(capsys.readouterr().out)["nodes_explored"] == 1
-        monkeypatch.setenv("ZHAM_BUDGET", "0")
-        assert main(["ham", c3_file]) == 4
 
     def test_bipham_reports_tagged_cycle(self, zk3_file, capsys):
         assert main(["bipham", zk3_file]) == 0
@@ -442,8 +429,17 @@ class TestVerifyCommand:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert sorted(row.split()[0] for row in rows) == sorted(CLAIMS)
 
-    def test_bad_range_exits_2(self):
-        assert main(["verify", "--n-min", "3", "--n-max", "2"]) == 2
+    def test_bad_range_exits_2(self, capsys):
+        for n_min, n_max, message in (
+            (3, 2, "n_values names no instance size"),
+            (0, 2, "instance size must be a positive integer, got 0"),
+        ):
+            assert main(["verify", "--n-min", str(n_min), "--n-max", str(n_max)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            with pytest.raises(GraphError) as exc:  # the sweep's own message
+                run_suite(None, range(n_min, n_max + 1))
+            assert captured.err == f"error: {exc.value}\n" == f"error: {message}\n"
 
     def test_store_io_failure_exits_6(self, tmp_path):
         assert (
@@ -528,8 +524,7 @@ class TestOneParserPerProcess:
         assert after_each[0] > 0
         assert after_each == after_each[:1] * 10
 
-    def test_no_state_leaks_from_one_call_to_the_next(self, tmp_path, c3_file, monkeypatch, capsys):
-        monkeypatch.delenv("ZHAM_BUDGET", raising=False)
+    def test_no_state_leaks_from_one_call_to_the_next(self, tmp_path, c3_file, capsys):
         k5 = tmp_path / "k5.txt"
         arcs = [(u, v) for u in range(1, 6) for v in range(1, 6) if u != v]
         k5.write_text("D 5\n" + "".join(f"{u} {v}\n" for u, v in arcs))

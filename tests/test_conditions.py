@@ -572,10 +572,12 @@ class TestLazyReport:
                 pulled.append(pair)
                 return False
 
-        # three rows, one column, every degree sum below the threshold: each
-        # pair the scan tests is a violator
+        # three rows, one column labelled after them, every degree sum below
+        # the threshold: each pair the scan tests is a violator
         rows, row_degrees = ("a", "b", "c"), (0, 0, 0)
-        holds, violators = conditions._pair_deficits(rows, row_degrees, ("z",), (0,), NoPairs(), 1)
+        holds, violators = conditions._pair_deficits(
+            (*rows, "z"), 3, row_degrees, (0,), NoPairs(), 1
+        )
         report = ConditionReport._decide("woodall", holds, violators, {"n": 3})
         assert not report.hypothesis_holds
         assert pulled == [(1, 1)]

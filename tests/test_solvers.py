@@ -1,4 +1,5 @@
 import dataclasses
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -21,10 +22,9 @@ from zham import (
     has_perfect_matching,
     max_matching,
     strongly_connected,
-    strongly_connected_components,
     zmap,
 )
-from zham import solvers
+from zham import core, solvers
 from zham.solvers import enumerate_perfect_matchings
 from zham.verifier import enumerate_bipartite, enumerate_digraphs
 
@@ -43,6 +43,7 @@ from brute import (
     max_matching_reference,
     perfect_matchings_reference,
     search_cycle_reference,
+    strongly_connected_reference,
 )
 
 C3 = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
@@ -66,16 +67,17 @@ class TestStrongConnectivity:
         n = 3000
         d = build_digraph(n, [(v, v % n + 1) for v in range(1, n + 1)])
         assert strongly_connected(d)
-        assert strongly_connected_components(d) == [tuple(range(1, n + 1))]
         path = Digraph(n, d.arcs - {(n, 1)})
         assert not strongly_connected(path)
-        # the path's last vertex completes first
-        assert strongly_connected_components(path) == [(v,) for v in range(n, 0, -1)]
 
-    def test_component_decomposition(self):
-        d = build_digraph(4, [(1, 2), (2, 1), (3, 4)])
-        comps = strongly_connected_components(d)
-        assert sorted(comps) == [(1, 2), (3,), (4,)]
+    @pytest.mark.parametrize("mask_n", [0, core.MASK_N])
+    def test_both_walks_match_the_closure_on_every_small_digraph(self, mask_n):
+        # with MASK_N at 0 every digraph is indexed by tuple rows, as one
+        # above MASK_N is, and the reach walk reads those rows
+        with patch.object(core, "MASK_N", mask_n), patch.object(solvers, "MASK_N", mask_n):
+            for n in range(1, 5):
+                for d in enumerate_digraphs(n):
+                    assert strongly_connected(d) == strongly_connected_reference(d)
 
     @given(digraphs(max_n=7))
     def test_reachability_oracle(self, d):

@@ -359,6 +359,25 @@ class TestRunSuite:
         with pytest.raises(GraphError, match="^n_values names no instance size$"):
             run_suite(["thm-zg"], [], mode=mode, samples=1, seed=1)
 
+    @pytest.mark.parametrize(
+        "claim_ids, n_values, message",
+        [
+            ("thm-gz", [1], "claim_ids must be an iterable other than str, got 'thm-gz'"),
+            (7, [1], "claim_ids must be an iterable other than str, got 7"),
+            (["x", ["y"]], [1], f"unknown claim id(s) x, ['y']; known: {', '.join(CLAIMS)}"),
+            (["thm-gz"], 5, "n_values must be an iterable other than str, got 5"),
+            (["thm-gz"], None, "n_values must be an iterable other than str, got None"),
+            (["thm-gz"], "12", "n_values must be an iterable other than str, got '12'"),
+        ],
+        ids=repr,
+    )
+    def test_a_malformed_request_is_refused_before_any_work(
+        self, monkeypatch, claim_ids, n_values, message
+    ):
+        monkeypatch.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            run_suite(claim_ids, n_values)
+
     def test_a_sweep_out_of_budget_reads_incomplete(self):
         [verdict] = run_suite(["ghouila"], [4], budget=1)
         assert verdict.exhausted_budget == verdict.hypothesis_hits > 0
@@ -386,7 +405,7 @@ class TestRunSuite:
     @pytest.mark.parametrize("n", [2.5, 0, True, "3"])
     def test_a_bad_size_is_refused_before_any_work(self, monkeypatch, mode, n):
         monkeypatch.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
-        message = f"^digraph size must be a positive integer, got {re.escape(repr(n))}$"
+        message = f"^instance size must be a positive integer, got {re.escape(repr(n))}$"
         with pytest.raises(GraphError, match=message):
             run_suite(["thm-gz"], [2, n], mode=mode, samples=1, seed=1)
 
