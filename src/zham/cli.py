@@ -46,7 +46,6 @@ from .solvers import (
     max_matching,
 )
 from .verifier import (
-    CLAIMS,
     StoreError,
     align_columns,
     build_report,
@@ -229,23 +228,18 @@ def _writable(path):
 
 
 def _cmd_verify(args):
-    if args.claims in (None, "", "all"):
-        claim_ids = None
-    else:
+    claim_ids = None
+    if args.claims not in (None, "", "all"):
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
-        if not claim_ids:
-            named = f"--claims {args.claims!r} names no claim id"
-            return _fail(f"{named}; known: {', '.join(CLAIMS)}", EXIT_PARSE)
     n_values = range(args.n_min, args.n_max + 1)
     try:  # run_suite's own check of the request, as a flag error
-        requested_claims(claim_ids, n_values, args.mode, args.samples)
+        requested_claims(claim_ids, n_values, args.mode, args.samples, args.budget)
     except GraphError as exc:
         return _fail(str(exc), EXIT_PARSE)
-    budget = _resolve_budget(args.budget)
     if args.report and not _writable(Path(args.report)):
         return _fail(f"cannot write report {args.report}", EXIT_STORE)
 
-    options = {"mode": args.mode, "seed": args.seed, "samples": args.samples, "budget": budget}
+    options = {"mode": args.mode, "seed": args.seed, "samples": args.samples, "budget": args.budget}
     verdicts = run_suite(claim_ids, n_values, store_path=args.store, **options)
     report = build_report(verdicts, n_values=n_values, **options)
     # the report is written chunk by chunk, to the file as bytes and to stdout
@@ -263,16 +257,6 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
-def _add_io(sub, output=False, dot=False, budget=False):
-    sub.add_argument("input", help="edge-list file (D/B/G header)")
-    if output:
-        sub.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    if dot:
-        sub.add_argument("--dot", default=None, help="also write a DOT rendering here")
-    if budget:
-        sub.add_argument("--budget", type=int, default=None, help="search node budget")
-
-
 def build_parser():
     """The ``zham`` parser; each subcommand's ``func`` names, and does not
     hold, the solver or transform it runs (see the module docstring)."""
@@ -282,34 +266,38 @@ def build_parser():
         "graphs, with exact Hamiltonicity/matching solvers and a claim verifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text, kind, transform in (
-        ("zmap", "digraph file -> bipartite image file", "digraph", "zmap"),
-        ("unzmap", "bipartite file -> digraph preimage file", "bipartite", "unzmap"),
+    transform, cycle = partial(partial, _cmd_transform), partial(partial, _cmd_cycle)
+    # one row per subcommand but verify, in help order: (name, help, writes
+    # its image to -o and --dot, takes --budget, handler)
+    for name, help_text, writes, budget, func in (
+        ("zmap", "digraph file -> bipartite image file", True, False,
+         transform("digraph", "zmap")),
+        ("unzmap", "bipartite file -> digraph preimage file", True, False,
+         transform("bipartite", "unzmap")),
+        ("ham", "directed Hamiltonian cycle search", False, True,
+         cycle("digraph", "find_hamiltonian_cycle")),
+        ("bipham", "bipartite Hamiltonian cycle search", False, True,
+         cycle("bipartite", "find_hamiltonian_cycle_bipartite")),
+        ("gham", "undirected Hamiltonian cycle search", False, True,
+         cycle("graph", "find_hamiltonian_cycle_undirected")),
+        ("match", "maximum bipartite matching", False, False, _cmd_match),
+        ("pm2", "two edge-disjoint perfect matchings", False, True, _cmd_pm2),
+        ("conditions", "evaluate degree-condition hypotheses", False, False, _cmd_conditions),
+        ("pullback", "solve bipartite Hamiltonian cycle, split into arc-set halves", False, True,
+         cycle("bipartite", "find_hamiltonian_cycle_bipartite", extend="pullback_halves")),
+        ("pushforward", "solve digraph Hamiltonian cycle, map to a perfect matching", False, True,
+         cycle("digraph", "find_hamiltonian_cycle", extend="_pushforward_matching")),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_io(p, output=True, dot=True)
-        p.set_defaults(func=partial(_cmd_transform, kind, transform))
+        p.add_argument("input", help="edge-list file (D/B/G header)")
+        if writes:
+            p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+            p.add_argument("--dot", default=None, help="also write a DOT rendering here")
+        if budget:
+            p.add_argument("--budget", type=int, default=None, help="search node budget")
+        p.set_defaults(func=func)
 
-    for name, what, kind, solver in (
-        ("ham", "directed", "digraph", "find_hamiltonian_cycle"),
-        ("bipham", "bipartite", "bipartite", "find_hamiltonian_cycle_bipartite"),
-        ("gham", "undirected", "graph", "find_hamiltonian_cycle_undirected"),
-    ):
-        p = sub.add_parser(name, help=f"{what} Hamiltonian cycle search")
-        _add_io(p, budget=True)
-        p.set_defaults(func=partial(_cmd_cycle, kind, solver))
-
-    p = sub.add_parser("match", help="maximum bipartite matching")
-    _add_io(p)
-    p.set_defaults(func=_cmd_match)
-
-    p = sub.add_parser("pm2", help="two edge-disjoint perfect matchings")
-    _add_io(p, budget=True)
-    p.set_defaults(func=_cmd_pm2)
-
-    p = sub.add_parser("conditions", help="evaluate degree-condition hypotheses")
-    _add_io(p)
+    p = sub.choices["conditions"]
     p.add_argument(
         "--id",
         default=None,
@@ -318,27 +306,6 @@ def build_parser():
     )
     p.add_argument("--k", type=int, default=None, help="k for moon-moser-k")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=_cmd_conditions)
-
-    p = sub.add_parser(
-        "pullback", help="solve bipartite Hamiltonian cycle, split into arc-set halves"
-    )
-    _add_io(p, budget=True)
-    p.set_defaults(
-        func=partial(
-            _cmd_cycle, "bipartite", "find_hamiltonian_cycle_bipartite", extend="pullback_halves"
-        )
-    )
-
-    p = sub.add_parser(
-        "pushforward", help="solve digraph Hamiltonian cycle, map to a perfect matching"
-    )
-    _add_io(p, budget=True)
-    p.set_defaults(
-        func=partial(
-            _cmd_cycle, "digraph", "find_hamiltonian_cycle", extend="_pushforward_matching"
-        )
-    )
 
     p = sub.add_parser("verify", help="sweep claims over enumerated instances")
     p.add_argument("--claims", default="all", help="comma-separated claim ids or 'all'")

@@ -41,7 +41,7 @@ threads: a race at worst computes an equal result twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from operator import attrgetter
 
@@ -198,16 +198,6 @@ def _forms(masks="masks", rows="rows"):
     )
 
 
-def _own_id(host, v):
-    """The id of witness entry ``v`` on a host whose vertices are their own
-    ids: ``v`` itself when it is one of 1..n, else None."""
-    return v if is_int(v) and 0 < v <= host.n else None
-
-
-def _own_vertex(host, i):
-    return i
-
-
 def _id(host, vertex):
     """The id of ``vertex`` on ``host``, else ``VertexRangeError``: the
     range check of the per-vertex accessors, so that no index reads another
@@ -216,6 +206,50 @@ def _id(host, vertex):
     if (i := host.id_of(vertex)) is None:
         raise VertexRangeError(f"{vertex!r} is not a vertex of this {host.kind} (n = {host.n})")
     return i
+
+
+def _row_reader(rows, part=None):
+    """The one body of the row methods: the tuple row ``rows`` of vertex u,
+    ``(part, u)`` on a bipartite graph, or the empty row 0 for u = 0."""
+    def row(self, u):
+        return getattr(self, rows)[_id(self, (part, u) if part else u) if u != 0 else 0]
+
+    return row
+
+
+class _Value:
+    """What the three value types share, stated once.
+
+    The id space of a type whose vertices are their own ids: ``id_count``,
+    ``id_of``, ``vertex_of`` and ``vertices`` over 1..n, the four members
+    ``BipartiteGraph`` overrides.  Then the two forms of the index, a row
+    per id (``masks`` and ``rows``), a vertex's ``degree`` and the repr.
+    It has no annotations, so ``dataclasses.fields`` of a value type names
+    only its ``n`` and its pair field; each type keeps its own
+    ``__post_init__``.
+    """
+
+    id_count = property(attrgetter("n"))
+    masks, rows = _forms()
+
+    def id_of(self, v):
+        """The id of witness entry ``v``: ``v`` itself when it is one of
+        1..n, else None."""
+        return v if is_int(v) and 0 < v <= self.n else None
+
+    def vertex_of(self, i):
+        return i
+
+    def vertices(self):
+        return range(1, self.n + 1)
+
+    def degree(self, vertex):
+        """The degree of ``vertex``; a digraph's total degree d+(u) + d-(u)."""
+        return self.degree_table[1][_id(self, vertex) - 1]
+
+    def __repr__(self):
+        pairs = fields(self)[1].name
+        return f"{type(self).__name__}(n={self.n}, {pairs}={sorted(self.pairs)})"
 
 
 def arc_universe(n):
@@ -231,8 +265,8 @@ def graph_edge_universe(n):
     return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
 
 
-@dataclass(frozen=True)
-class Digraph:
+@dataclass(frozen=True, repr=False)
+class Digraph(_Value):
     """Simple loopless directed graph on vertices 1..n with arc set ``arcs``."""
 
     kind = "digraph"
@@ -243,11 +277,9 @@ class Digraph:
     cycle_kind = DIGRAPH_CYCLE
     shortest_cycle = 2  # a digon uses two distinct arcs
     pairs = property(attrgetter("arcs"))
-    id_count = property(attrgetter("n"))
-    id_of = _own_id
-    vertex_of = _own_vertex
-    masks, rows = _forms()
     in_masks, _pred = _forms("in_masks", "_pred")
+    successors = _row_reader("rows")
+    predecessors = _row_reader("_pred")
 
     n: int
     arcs: frozenset = frozenset()
@@ -257,30 +289,14 @@ class Digraph:
         totals = tuple(map(int.__add__, outs, ins))
         object.__setattr__(self, "degree_table", (self.vertices(), totals, outs, ins))
 
-    def vertices(self):
-        return range(1, self.n + 1)
-
-    def successors(self, u):
-        return self.rows[_id(self, u) if u != 0 else 0]
-
-    def predecessors(self, u):
-        return self._pred[_id(self, u) if u != 0 else 0]
-
     def out_degree(self, u):
         return self.degree_table[2][_id(self, u) - 1]
 
     def in_degree(self, u):
         return self.degree_table[3][_id(self, u) - 1]
 
-    def degree(self, u):
-        """Total degree d(u) = d+(u) + d-(u)."""
-        return self.degree_table[1][_id(self, u) - 1]
-
     def has_arc(self, u, v):
         return (u, v) in self.arcs
-
-    def __repr__(self):
-        return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
 
 
 def build_digraph(n, arcs):
@@ -288,8 +304,8 @@ def build_digraph(n, arcs):
     return Digraph(n, arcs)
 
 
-@dataclass(frozen=True)
-class Graph:
+@dataclass(frozen=True, repr=False)
+class Graph(_Value):
     """Simple undirected graph on vertices 1..n; edges normalized to (min, max)."""
 
     kind = "graph"
@@ -300,10 +316,7 @@ class Graph:
     cycle_kind = GRAPH_CYCLE
     shortest_cycle = 3
     pairs = property(attrgetter("edges"))
-    id_count = property(attrgetter("n"))
-    id_of = _own_id
-    vertex_of = _own_vertex
-    masks, rows = _forms()
+    neighbors = _row_reader("rows")
 
     n: int
     edges: frozenset = frozenset()
@@ -312,24 +325,12 @@ class Graph:
         (degrees,) = _index_pairs(self, "edges")
         object.__setattr__(self, "degree_table", (self.vertices(), degrees))
 
-    def vertices(self):
-        return range(1, self.n + 1)
-
-    def neighbors(self, u):
-        return self.rows[_id(self, u) if u != 0 else 0]
-
-    def degree(self, u):
-        return self.degree_table[1][_id(self, u) - 1]
-
     def has_edge(self, u, v):
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def __repr__(self):
-        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
-
-@dataclass(frozen=True)
-class BipartiteGraph:
+@dataclass(frozen=True, repr=False)
+class BipartiteGraph(_Value):
     """Balanced bipartite graph with parts x1..xn and y1..yn.
 
     An edge ``(i, j)`` joins x_i to y_j; both parts always have exactly n
@@ -348,7 +349,8 @@ class BipartiteGraph:
     shortest_cycle = 3
     pairs = property(attrgetter("edges"))
     id_count = property(lambda self: 2 * self.n)
-    masks, rows = _forms()
+    # x-indices adjacent to y_j, ascending
+    neighbors_y = _row_reader("rows", "y")
 
     n: int
     edges: frozenset = frozenset()
@@ -360,10 +362,6 @@ class BipartiteGraph:
     def neighbors_x(self, i):
         """y-indices adjacent to x_i, ascending."""
         return tuple(w - self.n for w in self.rows[_id(self, ("x", i)) if i != 0 else 0])
-
-    def neighbors_y(self, j):
-        """x-indices adjacent to y_j, ascending."""
-        return self.rows[_id(self, ("y", j)) if j != 0 else 0]
 
     def degree_x(self, i):
         return self.degree(("x", i))
@@ -386,14 +384,8 @@ class BipartiteGraph:
         """All 2n part-tagged vertices, x part first."""
         return map(self.vertex_of, range(1, self.id_count + 1))
 
-    def degree(self, vertex):
-        return self.degree_table[1][_id(self, vertex) - 1]
-
     def has_edge(self, i, j):
         return (i, j) in self.edges
-
-    def __repr__(self):
-        return f"BipartiteGraph(n={self.n}, edges={sorted(self.edges)})"
 
 
 @lru_cache(maxsize=16)
@@ -408,15 +400,15 @@ def _part_labels(n):
 # fields, so equality, hashing and repr ignore them): ``kind``, its header
 # ``letter``, the ``label`` messages name its input by, ``max_n``, the largest
 # n it is enumerated exhaustively at, and ``universe(n)``, its possible
-# arcs or edges in enumeration-bit order.  Beside them each states its id
-# space: ``id_count``, ``masks`` (bit w of mask v set for each id w adjacent
-# to id v, mask 0 empty), ``rows`` (the same adjacency as ascending tuples),
-# the one index the constructor fills in one form and the other derives;
-# ``id_of`` (witness vertex -> id, None for a non-vertex) and ``vertex_of``;
-# its cycle witnesses' ``cycle_kind`` and ``shortest_cycle``; and ``pairs``,
-# its arc or edge set
+# arcs or edges in enumeration-bit order.  Beside them each has an id
+# space, stated once in ``_Value`` for the types whose vertices are their own
+# ids and overridden by ``BipartiteGraph``: ``id_count``, ``masks`` (bit w of
+# mask v set for each id w adjacent to id v, mask 0 empty), ``rows`` (the
+# same adjacency as ascending tuples), the one index the constructor fills in
+# one form and the other derives; ``id_of`` (witness vertex -> id, None for a
+# non-vertex) and ``vertex_of``; and each type states its cycle witnesses'
+# ``cycle_kind`` and ``shortest_cycle`` and ``pairs``, its arc or edge set
 KINDS = {cls.kind: cls for cls in (Digraph, BipartiteGraph, Graph)}
-_HOSTS = tuple(KINDS.values())
 
 
 def degrees(d: Digraph):
@@ -487,7 +479,7 @@ def check_cycle(host, witness) -> bool:
     mask or row holds only ids of the other part, so a path along them
     alternates parts.
     """
-    if not (isinstance(host, _HOSTS) and isinstance(witness, CycleWitness)):
+    if not (isinstance(host, _Value) and isinstance(witness, CycleWitness)):
         return False
     ids = [host.id_of(v) for v in witness.sequence]
     if witness.kind != host.cycle_kind or len(ids) < host.shortest_cycle or None in ids:

@@ -16,9 +16,9 @@ to the host's vertices.  Strong connectivity is one reach walk from vertex
 1, forward and backward, that grows reached-id masks along the same
 bitmask rows (and marks reached ids in a bytearray along the tuple rows of
 a digraph above ``core.MASK_N``).  The matching searches walk a bipartite
-host's id rows, in which y_j is id n + j (``max_matching`` reads only its n
-x rows, decoded from their masks up to ``MASK_N``), and every prune reads
-the host's ``degree_table``.
+host's x rows alone, in which y_j is id n + j, decoded from their masks up
+to ``MASK_N`` (``_x_rows``), and every prune reads the host's
+``degree_table``.
 
 Every search keeps its own stack instead of recursing, so each works for
 any n.  ``extends_to_hamiltonian`` has no search of its own: it asks the
@@ -214,14 +214,11 @@ def _digraph_viable(d: Digraph, k=1) -> bool:
     return d.n > 1 and min(map(min, d.degree_table[2:])) >= k and strongly_connected(d)
 
 
-def _bipartite_viable(g: BipartiteGraph) -> bool:
-    """Part size >= 2 and every vertex of degree >= 2: necessary for a
-    Hamiltonian cycle and for two edge-disjoint perfect matchings."""
-    return g.n >= 2 and min(g.degree_table[1]) >= 2
-
-
-def _graph_viable(g: Graph) -> bool:
-    return g.n >= 3 and min(g.degree_table[1]) >= 2
+def _undirected_viable(g) -> bool:
+    """At least ``shortest_cycle`` ids (part size >= 2 for a bipartite
+    graph, n >= 3 for a graph) and every vertex of degree >= 2: necessary
+    for a Hamiltonian cycle and for two edge-disjoint perfect matchings."""
+    return g.id_count >= g.shortest_cycle and min(g.degree_table[1]) >= 2
 
 
 def _find_cycle(host, viable, budget) -> SolveResult:
@@ -274,12 +271,21 @@ def find_hamiltonian_cycle_bipartite(g: BipartiteGraph, budget=None) -> SolveRes
     first (y_j is id n + j of the host's index, so parts alternate by
     construction).
     """
-    return _find_cycle(g, _bipartite_viable, budget)
+    return _find_cycle(g, _undirected_viable, budget)
 
 
 def find_hamiltonian_cycle_undirected(g: Graph, budget=None) -> SolveResult:
     """Spanning cycle in a plain undirected graph (needs n >= 3)."""
-    return _find_cycle(g, _graph_viable, budget)
+    return _find_cycle(g, _undirected_viable, budget)
+
+
+def _x_rows(g: BipartiteGraph):
+    """The rows of a bipartite host's ids 0..n (the empty row 0, then its
+    x rows, in which y_j is id n + j), ascending: the filled tuple rows
+    above ``MASK_N``, up to it each x's mask decoded here, so no tuple row
+    is derived on the host.  The one reader of the matching searches."""
+    n = g.n
+    return g.rows if n > MASK_N else [mask_select(range(2 * n + 1), m) for m in g.masks[: n + 1]]
 
 
 def max_matching(g: BipartiteGraph) -> Matching:
@@ -288,12 +294,11 @@ def max_matching(g: BipartiteGraph) -> Matching:
     Deterministic under the fixed vertex order (free x vertices and adjacency
     are scanned ascending).  Walks the host's x rows, in which y_j is id
     n + j: ``match_x[i]`` is the id of x_i's partner, ``match_y[n + j]``
-    that of y_j's, 0 while unmatched.  Only the n x rows are read: the
-    filled tuple rows above ``MASK_N``, up to it each x's mask decoded here
-    once, so no tuple row is derived on the host.
+    that of y_j's, 0 while unmatched.  Only the n x rows are read
+    (``_x_rows``).
     """
     n = g.n
-    rows = g.rows if n > MASK_N else [mask_select(range(2 * n + 1), m) for m in g.masks[: n + 1]]
+    rows = _x_rows(g)
     INF = n + 1
     match_x = [0] * (n + 1)
     match_y = [0] * (2 * n + 1)
@@ -362,12 +367,12 @@ def _iter_perfect_matchings(g: BipartiteGraph, budget):
     """All perfect matchings, ordered by ascending partner choice for x1, x2, ...
 
     Spends one budget node per tentative pair assignment.  Walks the
-    host's id rows, in which y_j is id n + j.
+    host's x rows (``_x_rows``), in which y_j is id n + j.
     """
     n = g.n
     if 0 in g.degree_table[1]:
         return
-    rows = g.rows
+    rows = _x_rows(g)
     used = 0  # bit n + j set while y_j is taken
     chosen = []
     # candidates[i - 1] iterates the partner ids still to try for x_i
@@ -444,7 +449,7 @@ def find_two_disjoint_perfect_matchings(g: BipartiteGraph, budget=None) -> Disjo
     its edges and asks the matching solver for a second one.
     """
     b = _Budget(budget)
-    if not _bipartite_viable(g):
+    if not _undirected_viable(g):
         return DisjointPair(False, None, None, 0)
     try:
         for pairs in _iter_perfect_matchings(g, b):

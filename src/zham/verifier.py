@@ -453,18 +453,23 @@ def _request_list(values, name):
     return list(values)
 
 
-def requested_claims(claim_ids, n_values, mode, samples):
+def requested_claims(claim_ids, n_values, mode, samples, budget):
     """The one check of a sweep request, before any work: the claims
     ``claim_ids`` names, each once, in first-named order (all claims for
     None), and the sizes ``n_values`` names, each once, ascending.
     GraphError, in this order, for ``claim_ids`` that is a str or not
-    iterable, naming every claim id that is not a known one (a non-str id
-    included), for a mode that is neither "exhaustive" nor "random", in
-    random mode for a ``samples`` that is not a positive integer, and for
-    ``n_values`` that is a str or not iterable, names no size, or names a
-    size that is not a positive integer.  Size caps are the sweep's own
-    check (see ``run_suite``)."""
+    iterable, names no claim id, or names one that is not a known one
+    (every such id is named, a non-str one included), for a mode that is
+    neither "exhaustive" nor "random", in random mode for a ``samples``
+    that is not a positive integer, for a ``budget`` that is neither None
+    nor a non-negative integer, and for ``n_values`` that is a str or not
+    iterable, names no size, or names a size that is not a positive
+    integer.  An ascending ``range`` is read by its bounds, never listed,
+    so a sweep's cap refuses an over-long one at its first size over the
+    cap.  Size caps are the sweep's own check (see ``run_suite``)."""
     claim_ids = CLAIMS if claim_ids is None else _request_list(claim_ids, "claim_ids")
+    if not claim_ids:
+        raise GraphError(f"claim_ids names no claim id; known: {', '.join(CLAIMS)}")
     unknown = [cid for cid in claim_ids if not isinstance(cid, str) or cid not in CLAIMS]
     if unknown:
         named = ", ".join(map(str, unknown))
@@ -473,13 +478,18 @@ def requested_claims(claim_ids, n_values, mode, samples):
         raise GraphError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
     if mode == "random" and not (is_int(samples) and samples > 0):
         raise GraphError(f"samples must be a positive integer in random mode, got {samples!r}")
-    sizes = _request_list(n_values, "n_values")
+    if budget is not None and not (is_int(budget) and budget >= 0):
+        raise GraphError(f"budget must be None or a non-negative integer, got {budget!r}")
+    ascending = isinstance(n_values, range) and n_values.step > 0
+    sizes = n_values if ascending else _request_list(n_values, "n_values")
     if not sizes:
         raise GraphError("n_values names no instance size")
-    for n in sizes:
+    # an ascending range holds only ints, its least one first
+    for n in sizes[:1] if ascending else sizes:
         if not (is_int(n) and n > 0):
             raise GraphError(f"instance size must be a positive integer, got {n!r}")
-    return [CLAIMS[cid] for cid in dict.fromkeys(claim_ids)], sorted(set(sizes))
+    claims = [CLAIMS[cid] for cid in dict.fromkeys(claim_ids)]
+    return claims, sizes if ascending else sorted(set(sizes))
 
 
 def run_suite(
@@ -499,15 +509,15 @@ def run_suite(
     each mask as its instance is checked (kinds are processed digraph,
     bipartite, graph and sizes ascending, so the draw order is
     reproducible).  Every field is checked before any work, each once: the
-    claim ids, sizes, mode and samples by ``requested_claims``, then each
-    size against its kind's cap, the ``max_n`` of its type in
+    claim ids, sizes, mode, samples and budget by ``requested_claims``,
+    then each size against its kind's cap, the ``max_n`` of its type in
     ``core.KINDS`` in exhaustive mode or ``core.MASK_N`` in random mode;
     GraphError otherwise.  A claim id or size named twice is swept once.
     Counterexamples are appended to ``store_path`` when given, in (claim
     id, n, instance) order; equal details are one object (see
     ``Counterexample``).  Returns ClaimVerdicts in request order.
     """
-    claims, sizes = requested_claims(claim_ids, n_values, mode, samples)
+    claims, sizes = requested_claims(claim_ids, n_values, mode, samples, budget)
     swept = [(kind, [c for c in claims if c.instance_kind == kind]) for kind in KINDS]
     swept = [(kind, kind_claims) for kind, kind_claims in swept if kind_claims]
     # one exhaustive size past its cap is 2^28 instances or more; a random

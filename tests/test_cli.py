@@ -155,7 +155,8 @@ class TestSolverCommands:
         assert main(["verify", "--claims", "thm-gz", "--n-max", "1", "--budget", "-3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --budget must be at least 0, got -3\n"
+        message = "budget must be None or a non-negative integer, got -3"
+        assert captured.err == f"error: {message}\n"
 
     def test_budget_zero_still_exhausts_at_once(self, c3_file, capsys):
         assert main(["ham", c3_file, "--budget", "0"]) == 4
@@ -421,7 +422,10 @@ class TestVerifyCommand:
         assert main(["verify", "--claims", claims]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: --claims {claims!r} names no claim id; known: ")
+        with pytest.raises(GraphError) as exc:  # the sweep's own message
+            run_suite([], [1])
+        assert captured.err == f"error: {exc.value}\n"
+        assert captured.err.startswith("error: claim_ids names no claim id; known: ")
 
     @pytest.mark.parametrize("claims", ["", "all"])
     def test_empty_or_all_claims_sweep_every_claim(self, claims, capsys):
@@ -609,6 +613,32 @@ def test_python_dash_m_runs_the_command_line(module):
     lines = done.stdout.splitlines()
     assert lines[0].split()[:3] == ["claim", "kind", "scanned"]
     assert len(lines) == 1 + len(CLAIMS)
+
+
+# runs the command line with its address space capped at 1 GB
+CAPPED_MAIN = """\
+import resource, sys
+from zham.cli import main
+
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_an_over_long_size_range_is_refused_at_its_cap():
+    # the request check reads --n-min..--n-max by its bounds, so the cap
+    # refuses n = 6 without a billion sizes listed; listed, they ended in
+    # a MemoryError traceback
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["verify", "--claims", "thm-gz", "--n-max", "1000000000"]
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: digraph enumeration capped at n=5, got n=6\n"
 
 
 # sha256 of the report `zham verify` writes at its defaults

@@ -280,6 +280,15 @@ class TestTwoDisjointPerfectMatchings:
             assert got == brute_two_disjoint_pms(g)
 
 
+def test_the_matching_searches_derive_no_tuple_rows():
+    # up to MASK_N they decode the n x rows they read, as max_matching does;
+    # reading g.rows derived all 2n + 1 rows on the host
+    g = BipartiteGraph(4, frozenset((i, j) for i in range(1, 5) for j in range(1, 5)))
+    assert len(list(enumerate_perfect_matchings(g))) == 24
+    assert find_two_disjoint_perfect_matchings(g).found
+    assert "rows" not in vars(g)
+
+
 class TestExtendsToHamiltonian:
     def test_six_cycle_contains_its_halves(self):
         for m in enumerate_perfect_matchings(Z_K3):

@@ -46,6 +46,7 @@ from zham.verifier import (
     indented_chunks,
     random_instance,
     render_table,
+    requested_claims,
 )
 from zham._version import __version__
 from zham.core import MASK_N, format_bipartite_vertex
@@ -365,6 +366,7 @@ class TestRunSuite:
             ("thm-gz", [1], "claim_ids must be an iterable other than str, got 'thm-gz'"),
             (7, [1], "claim_ids must be an iterable other than str, got 7"),
             (["x", ["y"]], [1], f"unknown claim id(s) x, ['y']; known: {', '.join(CLAIMS)}"),
+            ([], [1], f"claim_ids names no claim id; known: {', '.join(CLAIMS)}"),
             (["thm-gz"], 5, "n_values must be an iterable other than str, got 5"),
             (["thm-gz"], None, "n_values must be an iterable other than str, got None"),
             (["thm-gz"], "12", "n_values must be an iterable other than str, got '12'"),
@@ -377,6 +379,30 @@ class TestRunSuite:
         monkeypatch.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             run_suite(claim_ids, n_values)
+
+    @pytest.mark.parametrize("budget", ["10", -1, 2.5, True])
+    def test_a_bad_budget_is_refused_before_any_work(self, monkeypatch, budget):
+        # each ran once, and "10" raised a bare TypeError mid-search; the
+        # others reported every hit as budget-exhausted
+        monkeypatch.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
+        message = f"budget must be None or a non-negative integer, got {budget!r}"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            run_suite(["thm-gz"], [3], budget=budget)
+
+    def test_an_ascending_range_is_read_by_its_bounds(self, monkeypatch):
+        # a size range is never listed, so the cap refuses an over-long one
+        # at its first size over the cap, in constant time and memory
+        huge = range(1, 10**18)
+        assert requested_claims(["thm-gz"], huge, "exhaustive", 1, None)[1] is huge
+        with monkeypatch.context() as m:
+            m.setattr(verifier, "check_claim", lambda *args: pytest.fail("swept"))
+            with pytest.raises(GraphError, match="^digraph enumeration capped at n=5, got n=6$"):
+                run_suite(["thm-gz"], huge)
+            with pytest.raises(GraphError, match="^instance size must be a positive integer, got 0$"):
+                run_suite(["thm-gz"], range(0, 10**18))
+        # a descending range is listed, and swept ascending
+        [verdict] = run_suite(["thm-gz"], range(2, 0, -1))
+        assert verdict.instances_scanned == 1 + 4
 
     def test_a_sweep_out_of_budget_reads_incomplete(self):
         [verdict] = run_suite(["ghouila"], [4], budget=1)
@@ -914,3 +940,59 @@ class TestIndentedChunks:
         ]
         assert len(expected) == sum(len(v.counterexamples) for v in verdicts) > 0
         assert [c for c in chunks if c.startswith((b"[" + lead, b"," + lead))] == expected
+
+
+def thm_zg_family(n):
+    """The permutations (sigma1, sigma2) of 1..n, as dicts, whose union is a
+    counterexample to thm-zg for every n >= 5: sigma2 = (1 3)(2 4 5 ... n)
+    for odd n and (1 4)(2 3 5 6 ... n) for even n, and sigma1(i) =
+    sigma2(i mod n + 1)."""
+    tail = tuple(range(5, n + 1))
+    cycles = [(1, 3), (2, 4) + tail] if n % 2 else [(1, 4), (2, 3) + tail]
+    sigma2 = {a: b for cycle in cycles for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+    sigma1 = {i: sigma2[i % n + 1] for i in range(1, n + 1)}
+    return sigma1, sigma2
+
+
+def cycle_lengths(perm):
+    """The sorted cycle lengths of the permutation ``perm`` (a dict)."""
+    seen, lengths = set(), []
+    for start in perm:
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v, length = perm[v], length + 1
+        if length:
+            lengths.append(length)
+    return sorted(lengths)
+
+
+class TestThmZgFamily:
+    """thm-zg (D strong and zmap(D) Hamiltonian => D Hamiltonian) fails for
+    every n >= 5 on sigma1 u sigma2.  A Hamiltonian cycle of zmap(D) is two
+    disjoint perfect matchings of it, that is two derangements sigma1 and
+    sigma2 of D with sigma2^-1 sigma1 an n-cycle; their union is strong,
+    since the group they generate is transitive.  A Hamiltonian cycle of
+    sigma1 u sigma2 picks sigma1(u) or sigma2(u) at each u; a pick of
+    sigma1 at u forces sigma1 at sigma2^-1 sigma1(u), the other in-neighbour
+    of sigma1(u) (Rankin's arc forcing), so the pick is one permutation
+    throughout, and the union is Hamiltonian iff sigma1 or sigma2 is an
+    n-cycle."""
+
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_the_union_is_a_counterexample(self, n):
+        sigma1, sigma2 = thm_zg_family(n)
+        d = Digraph(n, frozenset(sigma1.items()) | frozenset(sigma2.items()))
+        assert len(d.arcs) == 2 * n
+        outcome, _ = check_claim(CLAIMS["thm-zg"], d)
+        assert outcome == COUNTEREXAMPLE
+
+    def test_the_cycle_types_hold_up_to_200(self):
+        for n in range(5, 201):
+            sigma1, sigma2 = thm_zg_family(n)
+            inverse2 = {b: a for a, b in sigma2.items()}
+            for sigma in (sigma1, sigma2):
+                assert sorted(sigma.values()) == list(range(1, n + 1)), n
+                assert all(sigma[i] != i for i in sigma), n  # a derangement
+                assert cycle_lengths(sigma) != [n], n  # not an n-cycle
+            assert cycle_lengths({u: inverse2[sigma1[u]] for u in sigma1}) == [n], n
